@@ -22,7 +22,6 @@ main(int argc, char **argv)
 {
     const bool quick = harness::quickMode(argc, argv);
     const unsigned jobs = harness::parseJobs(argc, argv);
-    harness::applySimThreads(argc, argv);
     harness::applyProfFlags(argc, argv);
     sim::MachineConfig cfg;
     harness::printMachineBanner(cfg, "Fig. 16 - graph input scale");

@@ -23,7 +23,6 @@ main(int argc, char **argv)
     // A single run: --jobs is accepted for harness uniformity (the
     // sweep degenerates to inline execution).
     const unsigned jobs = harness::parseJobs(argc, argv);
-    harness::applySimThreads(argc, argv);
     harness::applyProfFlags(argc, argv);
     const harness::BenchObs obs = harness::BenchObs::parse(argc, argv);
     sim::MachineConfig cfg;

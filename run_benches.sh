@@ -14,10 +14,6 @@
 #                changes wall-clock. Filtered out for
 #                micro_benchmarks, which is google-benchmark based
 #                and rejects foreign flags.
-#   --sim-threads N  forwarded to the figure benches (intra-run
-#                shard-parallel epoch replay). Digests and bench output
-#                are bit-identical at any count; only wall-clock
-#                changes. Filtered out for micro_benchmarks.
 #   --no-prof    with --timings, skip the per-bench --prof-out export
 #                (used by CI to measure the profiler's own overhead:
 #                two --timings runs, one with --no-prof, diffed by
@@ -29,7 +25,6 @@ here="$(dirname "$0")"
 timings=0
 no_prof=0
 jobs=""
-sim_threads=""
 quick=0
 declare -a fwd=()
 argv=("$@")
@@ -50,15 +45,6 @@ while [ $i -lt $# ]; do
         ;;
     --jobs=*)
         jobs="${a#--jobs=}"
-        fwd+=("$a")
-        ;;
-    --sim-threads)
-        i=$((i + 1))
-        sim_threads="${argv[$i]}"
-        fwd+=(--sim-threads "$sim_threads")
-        ;;
-    --sim-threads=*)
-        sim_threads="${a#--sim-threads=}"
         fwd+=("$a")
         ;;
     --quick)
@@ -98,7 +84,7 @@ for b in fig04_affine_offset fig17_bfs_iters fig14_timeline \
          fig06_irregular_potential fig19_degree fig13_policy \
          fig20_real_graphs fig16_graph_scale \
          ablation_codesign ablation_numbering serve_availability \
-         host_interference micro_benchmarks; do
+         corun_contention host_interference micro_benchmarks; do
     echo "################ $b"
     if [ "$b" = micro_benchmarks ]; then
         # google-benchmark rejects the figure benches' flags; map
@@ -115,8 +101,6 @@ for b in fig04_affine_offset fig17_bfs_iters fig14_timeline \
             --quick) args+=(--benchmark_min_time=0.01) ;;
             --jobs) skip_next=1 ;;
             --jobs=*) ;;
-            --sim-threads) skip_next=1 ;;
-            --sim-threads=*) ;;
             --simcheck | --simcheck-digest | --faulty) ;;
             --trace-out=* | --heatmap=* | --obs-csv=*) ;;
             --explain-placement | --explain-placement=*) ;;
@@ -160,18 +144,22 @@ if [ "$timings" = 1 ]; then
     out="$here/BENCH_overall.json"
     # Provenance: which sources, build and host produced these numbers
     # (a timing regression is meaningless without them).
-    git_rev="$(git -C "$here" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+    # "-dirty" marks numbers taken from uncommitted sources.
+    git_rev="$(git -C "$here" describe --always --dirty --abbrev=7 \
+        2>/dev/null || echo unknown)"
     build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' \
         "$here/build/CMakeCache.txt" 2>/dev/null | head -1)"
     host_threads="$(nproc 2>/dev/null || echo 1)"
+    host_cpu="$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' \
+        /proc/cpuinfo 2>/dev/null | head -1 | tr -d '"\\')"
     {
         echo "{"
         echo "  \"quick\": $([ "$quick" = 1 ] && echo true || echo false),"
         echo "  \"jobs\": ${jobs:-${AFFALLOC_JOBS:-1}},"
-        echo "  \"sim_threads\": ${sim_threads:-${AFFALLOC_SIM_THREADS:-1}},"
         echo "  \"git_revision\": \"$git_rev\","
         echo "  \"build_type\": \"${build_type:-unknown}\","
         echo "  \"host_threads\": $host_threads,"
+        echo "  \"host_cpu\": \"${host_cpu:-unknown}\","
         echo "  \"benches\": {"
         n=${#names[@]}
         for ((k = 0; k < n; ++k)); do

@@ -5,6 +5,8 @@
 #include <limits>
 #include <new>
 
+#include <sys/mman.h>
+
 #include "sim/log.hh"
 #include "sim/prof.hh"
 
@@ -24,17 +26,43 @@ pow2Ceil(std::uint64_t v)
     return p;
 }
 
+/**
+ * Host buffers of at least this many bytes are mapped directly, so
+ * freeing one returns its pages to the OS at once. Taken from the C++
+ * heap instead, glibc's adaptive mmap threshold decides per call
+ * whether a large array is mapped or carved from freed heap space, and
+ * the process's peak RSS then shifts with the layout of unrelated
+ * small allocations. Mappings are populated up front, one call
+ * instead of a page fault per page. ASan builds keep every buffer on
+ * the heap, where its allocator guards them with redzones.
+ */
+#if defined(__SANITIZE_ADDRESS__)
+constexpr std::size_t hostMapBytes = std::numeric_limits<std::size_t>::max();
+#else
+constexpr std::size_t hostMapBytes = std::size_t(1) << 20;
+#endif
+
 /** Aligned host buffer (64 B so host lines mirror simulated lines). */
 void *
 newHost(std::size_t bytes)
 {
-    return ::operator new(bytes, std::align_val_t(64));
+    if (bytes < hostMapBytes)
+        return ::operator new(bytes, std::align_val_t(64));
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return p;
 }
 
+/** Release a newHost() buffer of @p bytes. */
 void
-deleteHost(void *p)
+deleteHost(void *p, std::size_t bytes)
 {
-    ::operator delete(p, std::align_val_t(64));
+    if (bytes < hostMapBytes)
+        ::operator delete(p, std::align_val_t(64));
+    else
+        ::munmap(p, bytes);
 }
 
 /**
@@ -117,10 +145,10 @@ AffinityAllocator::~AffinityAllocator()
     // Freed heap/page-at-bank arrays were already unregistered in
     // freeAff but keep their host backing (and ownedHost_ entry) until
     // destruction, hence the rangeStartingAt guard.
-    for (void *p : ownedHost_) {
+    for (const auto &[p, bytes] : ownedHost_) {
         if (machine_.addressSpace().rangeStartingAt(p))
             machine_.addressSpace().unregisterRange(p);
-        deleteHost(p);
+        deleteHost(p, bytes);
     }
 }
 
@@ -130,7 +158,7 @@ void *
 AffinityAllocator::allocPlain(std::size_t bytes, std::size_t align)
 {
     void *host = newHost(bytes);
-    ownedHost_.insert(host);
+    ownedHost_.emplace(host, bytes);
     const Addr sim = machine_.simOs().heapAlloc(bytes, align);
     machine_.addressSpace().registerRange(host, bytes, sim);
     ArrayInfo info;
@@ -212,7 +240,7 @@ AffinityAllocator::poolAllocAligned(std::size_t bytes, int k,
     const Addr sim =
         machine_.simOs().poolVirtBaseOf(k, opts_.arena) + off;
     void *host = newHost(alloc_bytes);
-    ownedHost_.insert(host);
+    ownedHost_.emplace(host, alloc_bytes);
     machine_.addressSpace().registerRange(host, alloc_bytes, sim);
     return PoolCut{host, off, alloc_bytes};
 }
@@ -272,7 +300,7 @@ AffinityAllocator::largeAlloc(std::size_t bytes, std::uint64_t intrlv,
 
     const std::uint64_t alloc_bytes = num_pages * mem::pageSize;
     void *host = newHost(alloc_bytes);
-    ownedHost_.insert(host);
+    ownedHost_.emplace(host, alloc_bytes);
     machine_.addressSpace().registerRange(host, alloc_bytes, sim);
 
     (void)partitioned;
@@ -561,7 +589,7 @@ AffinityAllocator::carveStripe(int k)
     poolBump_[k] = off + stripe;
 
     void *host = newHost(stripe);
-    ownedHost_.insert(host);
+    ownedHost_.emplace(host, stripe);
     machine_.addressSpace().registerRange(host, stripe, sim_base);
 
     for (std::uint32_t s = 0; s < numBanks_; ++s) {
@@ -929,8 +957,9 @@ AffinityAllocator::freeAff(void *ptr)
             freeRegions_[info.poolIdx].push_back(
                 FreeRegion{info.poolOffset, info.allocBytes});
             stats_.freeRegionBytes += info.allocBytes;
-            if (ownedHost_.erase(ptr)) {
-                deleteHost(ptr);
+            if (auto h = ownedHost_.find(ptr); h != ownedHost_.end()) {
+                deleteHost(ptr, h->second);
+                ownedHost_.erase(h);
             }
         }
         // Heap / page-at-bank allocations keep their host backing

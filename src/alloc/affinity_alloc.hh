@@ -417,8 +417,8 @@ class AffinityAllocator
     /** Free slots per pool per bank. */
     std::array<std::vector<std::vector<Slot>>, mem::numInterleavePools>
         freeSlots_;
-    /** Host backing buffers owned by the allocator. */
-    std::unordered_set<void *> ownedHost_;
+    /** Host backing buffers owned by the allocator -> their bytes. */
+    std::unordered_map<void *, std::size_t> ownedHost_;
 
     /** Shared cross-tenant load board (null outside co-runs). */
     BankLoadBoard *board_ = nullptr;

@@ -9,7 +9,6 @@
 #include <string>
 #include <thread>
 
-#include "sim/config.hh"
 #include "sim/log.hh"
 #include "sim/prof.hh"
 #include "sim/worker_pool.hh"
@@ -32,36 +31,6 @@ clampJobs(long requested)
     return static_cast<unsigned>(requested);
 }
 
-unsigned
-validateSimThreads(const char *text, const char *origin)
-{
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0')
-        SIM_FATAL("harness", "%s: '%s' is not a number", origin, text);
-    if (v <= 0) {
-        SIM_FATAL("harness",
-                  "%s: %ld is invalid; need at least 1 thread to replay "
-                  "the epoch (1 = classic serial execution)",
-                  origin, v);
-    }
-    if (v > 1024)
-        SIM_FATAL("harness", "%s: %ld threads is absurd (max 1024)",
-                  origin, v);
-    const unsigned hw = std::thread::hardware_concurrency();
-    const char *over = std::getenv("AFFALLOC_SIM_OVERSUBSCRIBE");
-    const bool oversubscribe = over && *over && *over != '0';
-    if (hw != 0 && static_cast<unsigned>(v) > hw && !oversubscribe) {
-        SIM_FATAL("harness",
-                  "%s: %ld exceeds this host's %u hardware threads; "
-                  "oversubscribing only slows the replay down (set "
-                  "AFFALLOC_SIM_OVERSUBSCRIBE=1 to force, e.g. in a "
-                  "cgroup-limited container)",
-                  origin, v, hw);
-    }
-    return static_cast<unsigned>(v);
-}
-
 } // namespace
 
 unsigned
@@ -80,36 +49,6 @@ parseJobs(int argc, char **argv)
     if (const char *env = std::getenv("AFFALLOC_JOBS"); env && *env)
         return clampJobs(std::strtol(env, nullptr, 10));
     return 1;
-}
-
-unsigned
-applySimThreads(int argc, char **argv)
-{
-    unsigned threads = 1;
-    bool found = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--sim-threads") == 0) {
-            if (i + 1 >= argc)
-                SIM_FATAL("harness", "--sim-threads requires a value");
-            threads = validateSimThreads(argv[i + 1], "--sim-threads");
-            found = true;
-            break;
-        }
-        if (std::strncmp(arg, "--sim-threads=", 14) == 0) {
-            threads = validateSimThreads(arg + 14, "--sim-threads");
-            found = true;
-            break;
-        }
-    }
-    if (!found) {
-        if (const char *env = std::getenv("AFFALLOC_SIM_THREADS");
-            env && *env) {
-            threads = validateSimThreads(env, "AFFALLOC_SIM_THREADS");
-        }
-    }
-    sim::setDefaultSimThreads(threads);
-    return threads;
 }
 
 namespace

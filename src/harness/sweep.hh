@@ -28,21 +28,6 @@ namespace affalloc::harness
 unsigned parseJobs(int argc, char **argv);
 
 /**
- * Parse and apply the shared --sim-threads flag: `--sim-threads N`,
- * `--sim-threads=N`, or the AFFALLOC_SIM_THREADS environment variable
- * (flag wins). Installs the value as the process-wide default every
- * subsequently constructed MachineConfig picks up (intra-run
- * shard-parallel epoch replay; results are bit-identical at any
- * count), and returns it. Unset means 1 (classic serial execution).
- * Fatal on 0, non-numeric values, counts above 1024, and counts above
- * the host's hardware threads — oversubscription only slows the
- * replay down; AFFALLOC_SIM_OVERSUBSCRIBE=1 overrides that last check
- * for constrained CI containers whose cgroup quota understates the
- * real parallelism.
- */
-unsigned applySimThreads(int argc, char **argv);
-
-/**
  * Parse and apply the shared host-telemetry flags:
  *
  *   --prof-out FILE / --prof-out=FILE (or AFFALLOC_PROF_OUT): enable

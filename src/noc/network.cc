@@ -4,22 +4,9 @@
 #include <numeric>
 
 #include "sim/log.hh"
-#include "sim/prof.hh"
 
 namespace affalloc::noc
 {
-
-void
-NetDelta::reset(std::size_t num_entries)
-{
-    messages.fill(0);
-    hops.fill(0);
-    flitHops.fill(0);
-    degradedLinkFlits = 0;
-    flits = 0;
-    routeShadow = 0;
-    linkFlits.assign(num_entries, 0);
-}
 
 Network::Network(const sim::MachineConfig &cfg, sim::Stats &stats)
     : cfg_(cfg), stats_(stats), mesh_(cfg.meshX, cfg.meshY),
@@ -86,52 +73,6 @@ Network::send(TileId src, TileId dst, std::uint32_t bytes, TrafficClass tc)
     return Cycles(hop_count) * cfg_.hopLatency + (flits - 1);
 }
 
-Cycles
-Network::sendDelta(TileId src, TileId dst, std::uint32_t bytes,
-                   TrafficClass tc, NetDelta &d) const
-{
-    const int c = static_cast<int>(tc);
-    const std::uint32_t hop_count = mesh_.distance(src, dst);
-    const std::uint32_t flits = flitsFor(bytes);
-
-    d.messages[c] += 1;
-    d.hops[c] += hop_count;
-    d.flitHops[c] += std::uint64_t(flits) * hop_count;
-
-    if (hop_count != 0) {
-        chargeRouteDelta(src, dst, flits, d);
-        d.linkFlits[injectPort(src)] += flits;
-        d.linkFlits[ejectPort(dst)] += flits;
-        d.flits += flits;
-    }
-    return Cycles(hop_count) * cfg_.hopLatency + (flits - 1);
-}
-
-void
-Network::mergeDelta(const NetDelta &d)
-{
-    PROF_SCOPE("noc/net.merge_delta");
-    for (int c = 0; c < numTrafficClasses; ++c) {
-        stats_.messages[c] += d.messages[c];
-        stats_.hops[c] += d.hops[c];
-        stats_.flitHops[c] += d.flitHops[c];
-    }
-    stats_.degradedLinkFlits += d.degradedLinkFlits;
-    for (std::size_t i = 0; i < epochLinkFlits_.size(); ++i) {
-        epochLinkFlits_[i] += d.linkFlits[i];
-        lifetimeLinkFlits_[i] += d.linkFlits[i];
-    }
-    epochFlits_ += d.flits;
-    epochRouteFlitsShadow_ += d.routeShadow;
-}
-
-void
-Network::refreshEpochMax()
-{
-    epochMaxLinkFlits_ =
-        *std::max_element(epochLinkFlits_.begin(), epochLinkFlits_.end());
-}
-
 void
 Network::chargeLink(LinkId link, std::uint32_t flits)
 {
@@ -147,56 +88,6 @@ Network::chargeLink(LinkId link, std::uint32_t flits)
     lifetimeLinkFlits_[link] += charged;
     noteEpochFlits(link);
     epochRouteFlitsShadow_ += charged;
-}
-
-void
-Network::chargeLinkDelta(LinkId link, std::uint32_t flits,
-                         NetDelta &d) const
-{
-    std::uint64_t charged = flits;
-    if (faults_ != nullptr) {
-        const std::uint32_t mult = faults_->linkFlitMultiplier(link);
-        if (mult > 1) {
-            charged = std::uint64_t(flits) * mult;
-            d.degradedLinkFlits += charged - flits;
-        }
-    }
-    d.linkFlits[link] += charged;
-    d.routeShadow += charged;
-}
-
-void
-Network::chargeRouteDelta(TileId src, TileId dst, std::uint32_t flits,
-                          NetDelta &d) const
-{
-    if (referenceMode_ || routeOffset_.empty()) {
-        chargeRouteWalkDelta(src, dst, flits, d);
-        return;
-    }
-    const std::size_t pair = std::size_t(src) * mesh_.numTiles() + dst;
-    const std::uint32_t end = routeOffset_[pair + 1];
-    for (std::uint32_t i = routeOffset_[pair]; i < end; ++i)
-        chargeLinkDelta(routeLinks_[i], flits, d);
-}
-
-void
-Network::chargeRouteWalkDelta(TileId src, TileId dst, std::uint32_t flits,
-                              NetDelta &d) const
-{
-    std::uint32_t x = mesh_.xOf(src);
-    std::uint32_t y = mesh_.yOf(src);
-    const std::uint32_t tx = mesh_.xOf(dst);
-    const std::uint32_t ty = mesh_.yOf(dst);
-    while (x != tx) {
-        const Direction dir = x < tx ? Direction::east : Direction::west;
-        chargeLinkDelta(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits, d);
-        x = x < tx ? x + 1 : x - 1;
-    }
-    while (y != ty) {
-        const Direction dir = y < ty ? Direction::south : Direction::north;
-        chargeLinkDelta(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits, d);
-        y = y < ty ? y + 1 : y - 1;
-    }
 }
 
 void
@@ -287,7 +178,8 @@ Network::corruptLinkFlitsForTest(std::uint32_t index, std::int64_t delta)
             static_cast<std::int64_t>(epochLinkFlits_[index]) + delta);
     // A corruption may lower the busiest entry; the running max must
     // track the counters it summarizes.
-    refreshEpochMax();
+    epochMaxLinkFlits_ =
+        *std::max_element(epochLinkFlits_.begin(), epochLinkFlits_.end());
 }
 
 } // namespace affalloc::noc

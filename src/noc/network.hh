@@ -22,37 +22,6 @@ namespace affalloc::noc
 {
 
 /**
- * Private traffic accumulator for shard-parallel epoch replay: one
- * replay worker charges all of its shard's messages here instead of
- * the shared counters, and the machine folds the deltas back in fixed
- * worker order at the epoch barrier. Every field mirrors the integer
- * counter send() would have bumped, so the fold is exact regardless
- * of which worker carried which message.
- */
-struct NetDelta
-{
-    /** Per-class message counters (mirror sim::Stats). */
-    std::array<std::uint64_t, numTrafficClasses> messages{};
-    std::array<std::uint64_t, numTrafficClasses> hops{};
-    std::array<std::uint64_t, numTrafficClasses> flitHops{};
-    /** Extra flits charged on degraded links (Stats counter). */
-    std::uint64_t degradedLinkFlits = 0;
-    /** Flits injected (epochFlits_ contribution). */
-    std::uint64_t flits = 0;
-    /** Route-link conservation shadow contribution. */
-    std::uint64_t routeShadow = 0;
-    /**
-     * Per-link/port flit deltas, indexed like epochLinkFlits_. The
-     * same delta feeds the epoch and the lifetime counters (send()
-     * charges both identically).
-     */
-    std::vector<std::uint64_t> linkFlits;
-
-    /** Zero all counters, sizing linkFlits to @p num_entries. */
-    void reset(std::size_t num_entries);
-};
-
-/**
  * The interconnect model. Owns per-link epoch occupancy counters and
  * writes traffic statistics into a shared Stats block.
  */
@@ -81,41 +50,6 @@ class Network
      */
     Cycles send(TileId src, TileId dst, std::uint32_t bytes,
                 TrafficClass tc);
-
-    /**
-     * What send() would return for this message, charging nothing.
-     * The unloaded latency is load-independent, so deferred-epoch
-     * recording can hand exact latencies to callers before the
-     * traffic itself is replayed.
-     */
-    Cycles
-    latencyOf(TileId src, TileId dst, std::uint32_t bytes) const
-    {
-        return Cycles(mesh_.distance(src, dst)) * cfg_.hopLatency +
-               (flitsFor(bytes) - 1);
-    }
-
-    /**
-     * send() into a private delta instead of the shared counters
-     * (shard-parallel epoch replay). Thread-safe: reads only immutable
-     * routing state and the fault plan's stable multipliers.
-     */
-    Cycles sendDelta(TileId src, TileId dst, std::uint32_t bytes,
-                     TrafficClass tc, NetDelta &d) const;
-
-    /** Number of entries a NetDelta's linkFlits needs for this mesh. */
-    std::size_t numLinkEntries() const { return epochLinkFlits_.size(); }
-
-    /**
-     * Fold one replay worker's delta into the shared counters. Called
-     * in fixed worker order at the epoch barrier; integer adds, so the
-     * result equals serial execution. Call refreshEpochMax() after the
-     * last fold.
-     */
-    void mergeDelta(const NetDelta &d);
-
-    /** Recompute the running epoch max by scanning (post-merge). */
-    void refreshEpochMax();
 
     /** Flits queued on the busiest link during the current epoch. */
     std::uint64_t maxLinkFlits() const { return epochMaxLinkFlits_; }
@@ -176,14 +110,6 @@ class Network
     void chargeRouteWalk(TileId src, TileId dst, std::uint32_t flits);
     /** Charge one link, applying any degraded-link multiplier. */
     void chargeLink(LinkId link, std::uint32_t flits);
-
-    /** chargeRoute / chargeRouteWalk / chargeLink into a delta. */
-    void chargeRouteDelta(TileId src, TileId dst, std::uint32_t flits,
-                          NetDelta &d) const;
-    void chargeRouteWalkDelta(TileId src, TileId dst, std::uint32_t flits,
-                              NetDelta &d) const;
-    void chargeLinkDelta(LinkId link, std::uint32_t flits,
-                         NetDelta &d) const;
 
     /** Keep the running epoch max current for one charged entry. */
     void

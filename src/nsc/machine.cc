@@ -1,11 +1,11 @@
 #include "nsc/machine.hh"
 
 #include <algorithm>
-#include <bit>
 #include <optional>
 
 #include "mem/address.hh"
 #include "sim/log.hh"
+#include "sim/prof.hh"
 
 namespace affalloc::nsc
 {
@@ -255,7 +255,7 @@ Machine::bankOfHost(const void *p) const
 }
 
 void
-Machine::beginEpoch(bool deferrable)
+Machine::beginEpoch()
 {
     std::fill(bankBusy_.begin(), bankBusy_.end(), 0.0);
     std::fill(coreBusy_.begin(), coreBusy_.end(), 0.0);
@@ -269,14 +269,6 @@ Machine::beginEpoch(bool deferrable)
     epochStartStats_ = stats_;
     inEpoch_ = true;
     epochProfT0_ = prof::nowNsIfEnabled();
-    deferActive_ = deferrable && cfg_.simThreads > 1;
-    if (deferActive_) {
-        if (!log_) {
-            log_ = std::make_unique<EpochLog>();
-            log_->init(cfg_.numBanks(), cfg_.numTiles());
-        }
-        log_->clear();
-    }
 }
 
 void
@@ -288,13 +280,6 @@ Machine::abortEpoch()
         prof::addTimed("machine/epoch.record", prof::nowNs() - epochProfT0_);
         epochProfT0_ = 0;
     }
-    // A deferred epoch still replays its bank events: classic inline
-    // execution would already have moved the L3/SE-TLB state and the
-    // lifetime NoC counters, and abortEpoch() deliberately keeps those
-    // (only the Stats counters rewind). Wave two is skipped — the busy
-    // accumulators are wiped right below.
-    if (deferActive_)
-        replayDeferred(/*commit=*/false);
     // The restore rewinds every counter to the beginEpoch() snapshot;
     // carry the abort count itself across it so degradation stays
     // observable.
@@ -325,20 +310,15 @@ Machine::abortEpoch()
 Cycles
 Machine::endEpoch(double latency_floor, const std::string &phase)
 {
-    // Close the record phase before replay starts so "record" and
-    // "replay" partition the epoch's host time cleanly.
     if (epochProfT0_) {
         prof::addTimed("machine/epoch.record", prof::nowNs() - epochProfT0_);
         epochProfT0_ = 0;
     }
-    if (deferActive_)
-        replayDeferred(/*commit=*/true);
-    // The busy maxima are maintained at charge time (and by the replay
-    // barrier), so closing the epoch no longer rescans every per-bank
-    // accumulator and link counter. Class arbitration stretches only
-    // the bank and link terms (the shared queues classes contend on);
-    // the guard keeps single-class runs on the exact classic
-    // arithmetic.
+    // The busy maxima are maintained at charge time, so closing the
+    // epoch does not rescan every per-bank accumulator and link
+    // counter. Class arbitration stretches only the bank and link terms
+    // (the shared queues classes contend on); the guard keeps
+    // single-class runs on the exact unscaled arithmetic.
     double bankTerm = bankBusyMax_;
     double linkTerm = static_cast<double>(net_.maxLinkFlits());
     if (arbScale_ != 1.0) {
@@ -579,9 +559,6 @@ Machine::probeL3Line(BankId home, Addr pline, bool is_write, bool &out_hit)
 Cycles
 Machine::ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes)
 {
-    SIM_REQUIRE("nsc", !deferActive_,
-                "ioWrite is not supported inside deferred epochs "
-                "(I/O injector epochs must be classic)");
     SIM_REQUIRE("nsc", ingress < cfg_.numTiles(),
                 "I/O ingress tile %u outside the %u-tile mesh", ingress,
                 cfg_.numTiles());
@@ -641,9 +618,6 @@ AccessOutcome
 Machine::coreAccess(CoreId core, Addr vaddr, std::uint32_t bytes,
                     AccessType type, bool prefetch_friendly)
 {
-    if (deferActive_)
-        return coreAccessDeferred(core, vaddr, bytes, type,
-                                  prefetch_friendly);
     AccessOutcome out;
     out.servedBy = 1;
     const Addr first = vaddr / cfg_.lineSize;
@@ -749,10 +723,6 @@ void
 Machine::coreCompute(CoreId core, double flops)
 {
     stats_.coreOps += static_cast<std::uint64_t>(flops);
-    if (deferActive_) {
-        recordCoreBusy(core, flops / tp_.coreFlopsPerCycle);
-        return;
-    }
     chargeCoreBusy(core, flops / tp_.coreFlopsPerCycle);
 }
 
@@ -760,8 +730,6 @@ AccessOutcome
 Machine::l3StreamAccess(BankId requester, Addr vaddr, std::uint32_t bytes,
                         AccessType type)
 {
-    if (deferActive_)
-        return l3StreamAccessDeferred(requester, vaddr, bytes, type);
     AccessOutcome out;
     out.servedBy = 3;
     const Addr first = vaddr / cfg_.lineSize;
@@ -833,11 +801,6 @@ Machine::forwardData(BankId from, BankId to, std::uint32_t bytes)
     // relative to a tag+data bank access.
     chargeBankBusy(from, 0.25);
     chargeBankBusy(to, 0.25);
-    if (deferActive_) {
-        recordSend(to, bankTile_[from], bankTile_[to], bytes,
-                   TrafficClass::data);
-        return net_.latencyOf(bankTile_[from], bankTile_[to], bytes);
-    }
     return net_.send(bankTile_[from], bankTile_[to], bytes,
                      TrafficClass::data);
 }
@@ -846,12 +809,6 @@ Cycles
 Machine::migrateStream(BankId from, BankId to)
 {
     stats_.streamMigrations += 1;
-    if (deferActive_) {
-        recordSend(to, bankTile_[from], bankTile_[to], tp_.migrateBytes,
-                   TrafficClass::offload);
-        return net_.latencyOf(bankTile_[from], bankTile_[to],
-                              tp_.migrateBytes);
-    }
     return net_.send(bankTile_[from], bankTile_[to], tp_.migrateBytes,
                      TrafficClass::offload);
 }
@@ -860,12 +817,6 @@ Cycles
 Machine::configStream(CoreId core, BankId first_bank)
 {
     stats_.streamConfigs += 1;
-    if (deferActive_) {
-        recordSend(first_bank, core, bankTile_[first_bank],
-                   tp_.configBytes, TrafficClass::offload);
-        return net_.latencyOf(core, bankTile_[first_bank],
-                              tp_.configBytes);
-    }
     return net_.send(core, bankTile_[first_bank], tp_.configBytes,
                      TrafficClass::offload);
 }
@@ -928,14 +879,6 @@ Machine::offloadNack(CoreId core, BankId bank)
             "offload-nack", stats_.cycles,
             detail::formatMessage("\"core\":%u,\"bank\":%u", core, bank));
     }
-    if (deferActive_) {
-        recordSend(bank, core, bankTile_[bank], tp_.configBytes,
-                   TrafficClass::offload);
-        recordSend(bank, bankTile_[bank], core, tp_.controlBytes,
-                   TrafficClass::control);
-        return net_.latencyOf(core, bankTile_[bank], tp_.configBytes) +
-               net_.latencyOf(bankTile_[bank], core, tp_.controlBytes);
-    }
     Cycles lat = net_.send(core, bankTile_[bank], tp_.configBytes,
                            TrafficClass::offload);
     lat += net_.send(bankTile_[bank], core, tp_.controlBytes,
@@ -946,11 +889,6 @@ Machine::offloadNack(CoreId core, BankId bank)
 void
 Machine::creditMessage(CoreId core, BankId bank)
 {
-    if (deferActive_) {
-        recordSend(bank, core, bankTile_[bank], tp_.controlBytes,
-                   TrafficClass::control);
-        return;
-    }
     net_.send(core, bankTile_[bank], tp_.controlBytes,
               TrafficClass::control);
 }
@@ -1012,377 +950,6 @@ Machine::flushPrivateCaches()
         c.reset();
     for (auto &c : l2_)
         c.reset();
-}
-
-// ---------------------------------------------------------------------
-// Deferred (shard-parallel) epoch execution. The record-side twins below
-// mirror their classic counterparts statement for statement; anything
-// they charge inline happens in the same serial program order as
-// classic execution, and anything they defer is replayed either in
-// per-bank serial-projected order (wave one) or per-core record order
-// (wave two), so the result is bit-identical at any --sim-threads.
-// ---------------------------------------------------------------------
-
-void
-Machine::recordSend(BankId queue_bank, TileId src, TileId dst,
-                    std::uint32_t bytes, TrafficClass tc)
-{
-    BankEvent ev;
-    ev.kind = BankEvent::netSend;
-    ev.arg = bytes;
-    ev.src = static_cast<std::uint16_t>(src);
-    ev.dst = static_cast<std::uint16_t>(dst);
-    ev.flags = static_cast<std::uint8_t>(tc);
-    log_->bank[queue_bank].push_back(ev);
-}
-
-std::uint32_t
-Machine::recordProbe(BankId home, Addr pline, bool is_write)
-{
-    BankEvent ev;
-    ev.kind = BankEvent::l3Probe;
-    ev.addr = pline;
-    ev.arg = log_->numSlots++;
-    ev.flags = is_write ? BankEvent::probeWrite : 0;
-    log_->bank[home].push_back(ev);
-    return ev.arg;
-}
-
-void
-Machine::recordCoreBusy(CoreId core, double cycles)
-{
-    CoreEvent ev;
-    ev.kind = CoreEvent::constBusy;
-    ev.a = std::bit_cast<std::uint64_t>(cycles);
-    log_->core[core].push_back(ev);
-}
-
-void
-Machine::recordL3Writeback(CoreId core, Addr victim_vline)
-{
-    // Classic: send the dirty L2 victim to its home bank, then
-    // probeL3Line(wb_home, ..., write) there. The bank-busy charge
-    // stays inline (record order == classic order); the probe and
-    // both messages replay on the home bank's queue.
-    const Addr wb_p =
-        os_.pageTable().translate(victim_vline * cfg_.lineSize);
-    const BankId wb_home = mapper_.bankOf(wb_p);
-    recordSend(wb_home, core, bankTile_[wb_home],
-               cfg_.lineSize + tp_.controlBytes, TrafficClass::data);
-    chargeBankBusy(wb_home, tp_.l3ServiceCycles);
-    recordProbe(wb_home, wb_p / cfg_.lineSize, true);
-}
-
-AccessOutcome
-Machine::coreAccessDeferred(CoreId core, Addr vaddr, std::uint32_t bytes,
-                            AccessType type, bool prefetch_friendly)
-{
-    AccessOutcome out;
-    out.servedBy = 1;
-    const Addr first = vaddr / cfg_.lineSize;
-    const Addr last = (vaddr + bytes - 1) / cfg_.lineSize;
-    const bool is_write = type != AccessType::read;
-
-    for (Addr vline = first; vline <= last; ++vline) {
-        recordCoreBusy(core, tp_.coreIssueCycles);
-
-        if (type != AccessType::atomic) {
-            // Private caches are core-owned and only touched by the
-            // serial record pass, so they run inline exactly as in
-            // classic execution.
-            stats_.l1Accesses += 1;
-            const auto r1 = l1_[core].access(vline, is_write);
-            if (r1.writeback) {
-                stats_.l2Accesses += 1;
-                l2_[core].access(r1.victimLine, true);
-            }
-            if (r1.hit) {
-                out.latency += cfg_.l1Latency;
-                continue;
-            }
-            stats_.l1Misses += 1;
-
-            stats_.l2Accesses += 1;
-            const auto r2 = l2_[core].access(vline, is_write);
-            if (r2.hit) {
-                out.latency += cfg_.l1Latency + cfg_.l2Latency;
-                out.servedBy = std::max(out.servedBy, 2);
-                if (r2.writeback)
-                    recordL3Writeback(core, r2.victimLine);
-                continue;
-            }
-            stats_.l2Misses += 1;
-            if (r2.writeback)
-                recordL3Writeback(core, r2.victimLine);
-        }
-
-        const Cycles tlb_lat = coreTranslate(core, vline * cfg_.lineSize);
-        const Addr paddr = os_.pageTable().translate(vline * cfg_.lineSize);
-        const Addr pline = paddr / cfg_.lineSize;
-        const BankId home = mapper_.bankOf(paddr);
-        out.bank = home;
-
-        recordSend(home, core, bankTile_[home], tp_.controlBytes,
-                   TrafficClass::control);
-        chargeBankBusy(home, tp_.l3ServiceCycles);
-        const std::uint32_t slot = recordProbe(home, pline, is_write);
-        // The L3 hit/miss resolves at replay; deferrable callers never
-        // read servedBy (see beginEpoch(deferrable)), so report the L3
-        // level without the miss refinement.
-        out.servedBy = std::max(out.servedBy, 3);
-
-        Cycles resp = 0;
-        if (type == AccessType::atomic) {
-            stats_.atomicOps += 1;
-            if (metrics_)
-                metrics_->bankAtomic(home);
-            chargeBankBusy(home, tp_.atomicExtraCycles);
-            recordSend(home, bankTile_[home], core, tp_.controlBytes,
-                       TrafficClass::control);
-            recordSend(home, bankTile_[home], core, tp_.controlBytes,
-                       TrafficClass::control);
-            resp = net_.latencyOf(bankTile_[home], core, tp_.controlBytes);
-        } else {
-            recordSend(home, bankTile_[home], core,
-                       cfg_.lineSize + tp_.controlBytes,
-                       TrafficClass::data);
-            resp = net_.latencyOf(bankTile_[home], core,
-                                  cfg_.lineSize + tp_.controlBytes);
-        }
-
-        if (!prefetch_friendly) {
-            // Both penalty operands are integer cycle counts, so wave
-            // two reproduces classic's double(base + extra) / MLP
-            // charge bit-exactly once the probe's hit bit is known.
-            const std::uint32_t ch = dram_.channelOf(pline);
-            const TileId ctrl = dram_.controllerTile(ch);
-            CoreEvent ev;
-            ev.kind = CoreEvent::mlpPenalty;
-            ev.a = cfg_.l1Latency + cfg_.l2Latency + tlb_lat +
-                   net_.latencyOf(core, bankTile_[home],
-                                  tp_.controlBytes) +
-                   cfg_.l3Latency + resp;
-            ev.b = net_.latencyOf(bankTile_[home], ctrl,
-                                  tp_.controlBytes) +
-                   dram_.latency() +
-                   net_.latencyOf(ctrl, bankTile_[home],
-                                  cfg_.lineSize + tp_.controlBytes);
-            ev.slot = slot;
-            log_->core[core].push_back(ev);
-        }
-        // Unloaded latency without the replay-resolved miss component;
-        // deferrable epoch bodies never read it.
-        out.latency += cfg_.l1Latency + cfg_.l2Latency + tlb_lat +
-                       net_.latencyOf(core, bankTile_[home],
-                                      tp_.controlBytes) +
-                       cfg_.l3Latency + resp;
-    }
-    return out;
-}
-
-AccessOutcome
-Machine::l3StreamAccessDeferred(BankId requester, Addr vaddr,
-                                std::uint32_t bytes, AccessType type)
-{
-    AccessOutcome out;
-    out.servedBy = 3;
-    const Addr first = vaddr / cfg_.lineSize;
-    const Addr last = (vaddr + bytes - 1) / cfg_.lineSize;
-    const bool is_write = type != AccessType::read;
-
-    for (Addr vline = first; vline <= last; ++vline) {
-        const Addr line_vaddr = vline * cfg_.lineSize;
-        // seTranslate() deferred: the SE TLB belongs to the requester
-        // bank's shard. Pool addresses translate as direct segments
-        // with no TLB involvement, exactly like classic.
-        if (line_vaddr < mem::poolVirtBase) {
-            BankEvent ev;
-            ev.kind = BankEvent::seTlbProbe;
-            ev.addr = mem::pageOf(line_vaddr);
-            log_->bank[requester].push_back(ev);
-        }
-        const Addr paddr = os_.pageTable().translate(line_vaddr);
-        const Addr pline = paddr / cfg_.lineSize;
-        const BankId home = mapper_.bankOf(paddr);
-        out.bank = home;
-
-        const bool remote = home != requester;
-        if (remote) {
-            recordSend(home, bankTile_[requester], bankTile_[home],
-                       is_write && type != AccessType::atomic
-                           ? std::min<std::uint32_t>(bytes,
-                                                     cfg_.lineSize) +
-                                 tp_.controlBytes
-                           : tp_.controlBytes,
-                       type == AccessType::atomic
-                           ? TrafficClass::control
-                           : (is_write ? TrafficClass::data
-                                       : TrafficClass::control));
-        }
-        chargeBankBusy(home, tp_.l3ServiceCycles);
-        recordProbe(home, pline, is_write);
-
-        if (type == AccessType::atomic) {
-            stats_.atomicOps += 1;
-            if (metrics_)
-                metrics_->bankAtomic(home);
-            chargeBankBusy(home, tp_.atomicExtraCycles);
-            noteAtomicStream(home);
-            if (remote) {
-                recordSend(home, bankTile_[home], bankTile_[requester],
-                           tp_.controlBytes, TrafficClass::control);
-            }
-        } else if (remote) {
-            if (!is_write) {
-                const std::uint32_t resp =
-                    std::min<std::uint32_t>(bytes, cfg_.lineSize);
-                recordSend(home, bankTile_[home], bankTile_[requester],
-                           resp + tp_.controlBytes, TrafficClass::data);
-            } else {
-                recordSend(home, bankTile_[home], bankTile_[requester],
-                           tp_.controlBytes, TrafficClass::control);
-            }
-        }
-        // Deferrable epoch bodies never read the outcome latency.
-        out.latency += cfg_.l3Latency;
-    }
-    return out;
-}
-
-void
-Machine::replayBankEvents(BankId b, ReplayDelta &d)
-{
-    for (const BankEvent &ev : log_->bank[b]) {
-        switch (ev.kind) {
-        case BankEvent::l3Probe: {
-            const bool is_write = (ev.flags & BankEvent::probeWrite) != 0;
-            d.stats.l3Accesses += 1;
-            const auto res = l3Banks_[b].access(ev.addr, is_write);
-            log_->hitBits[ev.arg] = res.hit ? 1 : 0;
-            if (metrics_)
-                metrics_->bankAccess(b, res.hit);
-            if (!res.hit) {
-                d.stats.l3Misses += 1;
-                const std::uint32_t ch = dram_.channelOf(ev.addr);
-                const TileId ctrl = dram_.controllerTile(ch);
-                net_.sendDelta(bankTile_[b], ctrl, tp_.controlBytes,
-                               TrafficClass::control, d.net);
-                d.dramChannel[ch] += 1;
-                d.stats.dramAccesses += 1;
-                d.stats.dramBytes += cfg_.lineSize;
-                net_.sendDelta(ctrl, bankTile_[b],
-                               cfg_.lineSize + tp_.controlBytes,
-                               TrafficClass::data, d.net);
-            }
-            if (res.writeback) {
-                const std::uint32_t ch = dram_.channelOf(res.victimLine);
-                const TileId ctrl = dram_.controllerTile(ch);
-                net_.sendDelta(bankTile_[b], ctrl,
-                               cfg_.lineSize + tp_.controlBytes,
-                               TrafficClass::data, d.net);
-                d.dramChannel[ch] += 1;
-                d.stats.dramAccesses += 1;
-                d.stats.dramBytes += cfg_.lineSize;
-            }
-            break;
-        }
-        case BankEvent::seTlbProbe:
-            d.stats.tlbAccesses += 1;
-            if (!seTlb_[b].access(ev.addr, false).hit)
-                d.stats.tlbWalks += 1;
-            break;
-        case BankEvent::netSend:
-            net_.sendDelta(ev.src, ev.dst, ev.arg,
-                           static_cast<TrafficClass>(ev.flags), d.net);
-            break;
-        }
-    }
-}
-
-void
-Machine::replayCoreEvents(CoreId c)
-{
-    for (const CoreEvent &ev : log_->core[c]) {
-        if (ev.kind == CoreEvent::constBusy) {
-            coreBusy_[c] += std::bit_cast<double>(ev.a);
-        } else {
-            const std::uint64_t lat =
-                ev.a + (log_->hitBits[ev.slot] ? 0 : ev.b);
-            coreBusy_[c] += double(lat) / tp_.coreMaxMlp;
-        }
-    }
-}
-
-void
-Machine::replayDeferred(bool commit)
-{
-    PROF_SCOPE("machine/epoch.replay");
-    deferActive_ = false;
-    const std::uint32_t banks = cfg_.numBanks();
-    const std::uint32_t cores = cfg_.numTiles();
-    const unsigned T = cfg_.simThreads;
-    if (!pool_ || pool_->threads() != T)
-        pool_ = std::make_unique<sim::WorkerPool>(T);
-    if (replayDeltas_.size() < T)
-        replayDeltas_.resize(T);
-    log_->hitBits.assign(log_->numSlots, 0);
-
-    // Wave one: each worker owns a contiguous bank shard and replays
-    // its queues in serial-projected order. The static shard -> worker
-    // map keeps a shard on the same thread across epochs (warm caches,
-    // and a stable home if AFFALLOC_SIM_PIN pins workers to CPUs).
-    const std::size_t net_entries = net_.numLinkEntries();
-    const std::uint32_t channels = cfg_.dramChannels;
-    {
-        PROF_SCOPE("machine/epoch.replay/wave1");
-        pool_->dispatch([&](unsigned w) {
-            ReplayDelta &d = replayDeltas_[w];
-            d.reset(net_entries, channels);
-            const auto b0 = static_cast<std::uint32_t>(
-                std::uint64_t(banks) * w / T);
-            const auto b1 = static_cast<std::uint32_t>(
-                std::uint64_t(banks) * (w + 1) / T);
-            for (std::uint32_t b = b0; b < b1; ++b)
-                replayBankEvents(b, d);
-        });
-    }
-
-    // Fold the worker deltas in fixed worker order. Everything here is
-    // an integer counter, so the fold is exact at any thread count.
-    {
-        PROF_SCOPE("machine/epoch.replay/fold");
-        if (dramDeferred_.size() != channels)
-            dramDeferred_.assign(channels, 0);
-        else
-            std::fill(dramDeferred_.begin(), dramDeferred_.end(), 0);
-        for (unsigned w = 0; w < T; ++w) {
-            const ReplayDelta &d = replayDeltas_[w];
-            stats_ += d.stats;
-            net_.mergeDelta(d.net);
-            for (std::uint32_t ch = 0; ch < channels; ++ch)
-                dramDeferred_[ch] += d.dramChannel[ch];
-        }
-        net_.refreshEpochMax();
-        dram_.chargeDeferred(dramDeferred_);
-    }
-
-    if (commit) {
-        // Wave two: per-core busy replays need wave one's hit bits.
-        // Events replay in record order, so the floating-point
-        // accumulation matches classic execution exactly.
-        PROF_SCOPE("machine/epoch.replay/wave2");
-        pool_->dispatch([&](unsigned w) {
-            const auto c0 = static_cast<std::uint32_t>(
-                std::uint64_t(cores) * w / T);
-            const auto c1 = static_cast<std::uint32_t>(
-                std::uint64_t(cores) * (w + 1) / T);
-            for (std::uint32_t c = c0; c < c1; ++c)
-                replayCoreEvents(c);
-        });
-        for (std::uint32_t c = 0; c < cores; ++c)
-            coreBusyMax_ = std::max(coreBusyMax_, coreBusy_[c]);
-    }
-    log_->clear();
 }
 
 } // namespace affalloc::nsc

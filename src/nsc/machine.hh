@@ -21,7 +21,6 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "mem/address_space.hh"
@@ -29,13 +28,11 @@
 #include "mem/cache_model.hh"
 #include "mem/dram.hh"
 #include "noc/network.hh"
-#include "nsc/epoch_log.hh"
 #include "obs/observer.hh"
 #include "os/sim_os.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
-#include "sim/worker_pool.hh"
 
 namespace affalloc::nsc
 {
@@ -188,21 +185,8 @@ class Machine
     Cycles offloadNack(CoreId core, BankId bank);
 
     // ------------------------------------------------- epoch life-cycle
-    /**
-     * Start a new epoch: clears per-epoch occupancy.
-     *
-     * @param deferrable the epoch body tolerates deferred execution:
-     *        it never reads AccessOutcome latencies or servedBy levels
-     *        from inside the epoch (the bulk affine/graph kernels —
-     *        pointer chasing, which feeds latencies back into its
-     *        floor, must stay classic). With cfg.simThreads > 1 such
-     *        an epoch records bank-owned work into an event log that
-     *        endEpoch() replays shard-parallel; results are
-     *        bit-identical to the serial simulator either way.
-     */
-    void beginEpoch(bool deferrable = false);
-    /** Whether the open epoch is recording for parallel replay. */
-    bool epochDeferred() const { return deferActive_; }
+    /** Start a new epoch: clears per-epoch occupancy. */
+    void beginEpoch();
     /**
      * Close the epoch: duration = max(resource occupancy,
      * latency_floor) + fixed overhead. Advances simulated time,
@@ -257,8 +241,7 @@ class Machine
      * lands follows cfg.llcIoPolicy: ddio allocates freely into the
      * home L3 bank, wayRestrict confines allocation to cfg.llcIoWays
      * ways per set, bypass sends the line straight to DRAM. Returns
-     * the injection latency. Not supported inside deferred epochs
-     * (I/O injector epochs are classic).
+     * the injection latency.
      */
     Cycles ioWrite(TileId ingress, Addr vaddr, std::uint32_t bytes);
 
@@ -356,7 +339,6 @@ class Machine
     /** SEL3-side translation at bank @p bank's stream-engine TLB. */
     Cycles seTranslate(BankId bank, Addr vaddr);
 
-    // ------------------------------------- deferred (parallel) epochs
     /** Busy charges funnel through these to keep running maxima. */
     void
     chargeBankBusy(BankId b, double cycles)
@@ -379,38 +361,6 @@ class Machine
         if (v > seBusyMax_)
             seBusyMax_ = v;
     }
-
-    /** Append one NoC message to @p queue_bank's replay queue. */
-    void recordSend(BankId queue_bank, TileId src, TileId dst,
-                    std::uint32_t bytes, TrafficClass tc);
-    /** Append an L3 probe at @p home; returns its hit-bit slot. */
-    std::uint32_t recordProbe(BankId home, Addr pline, bool is_write);
-    /** Append a const core-busy charge to @p core's replay queue. */
-    void recordCoreBusy(CoreId core, double cycles);
-
-    /** Deferred-record twin of coreAccess() (same stats/state). */
-    AccessOutcome coreAccessDeferred(CoreId core, Addr vaddr,
-                                     std::uint32_t bytes, AccessType type,
-                                     bool prefetch_friendly);
-    /** Deferred-record twin of l3StreamAccess(). */
-    AccessOutcome l3StreamAccessDeferred(BankId requester, Addr vaddr,
-                                         std::uint32_t bytes,
-                                         AccessType type);
-    /** Record-side half of a deferred L2-victim writeback to L3. */
-    void recordL3Writeback(CoreId core, Addr victim_vline);
-
-    /** Replay one bank's queue into @p d (wave one; worker thread). */
-    void replayBankEvents(BankId b, ReplayDelta &d);
-    /** Replay one core's busy queue (wave two; worker thread). */
-    void replayCoreEvents(CoreId c);
-    /**
-     * Run both replay waves on the worker pool and fold the deltas in
-     * fixed worker order. @p commit false (abortEpoch) still replays
-     * wave one — cache/TLB state and lifetime NoC counters must end
-     * exactly where classic inline execution would have left them —
-     * but skips the wave-two busy charges the abort wipes anyway.
-     */
-    void replayDeferred(bool commit);
 
     /**
      * Recompute the arbitration occupancy scale for the active class
@@ -463,17 +413,6 @@ class Machine
     double bankBusyMax_ = 0.0;
     double coreBusyMax_ = 0.0;
     double seBusyMax_ = 0.0;
-
-    /** Whether the open epoch records for shard-parallel replay. */
-    bool deferActive_ = false;
-    /** Event log for deferred epochs (lazily built; reused). */
-    std::unique_ptr<EpochLog> log_;
-    /** Persistent replay workers (lazily built on first replay). */
-    std::unique_ptr<sim::WorkerPool> pool_;
-    /** Per-worker replay accumulators (reused across epochs). */
-    std::vector<ReplayDelta> replayDeltas_;
-    /** Per-channel deferred DRAM access totals (merge scratch). */
-    std::vector<std::uint64_t> dramDeferred_;
 
     // Per-class attribution (side counters; never in the digest).
     /** Class charged for current activity. */

@@ -84,9 +84,10 @@ MachineConfig::validate() const
         SIM_FATAL("config", "NoC link width must be nonzero");
     if (epochChunk == 0)
         SIM_FATAL("config", "epoch chunk must be nonzero");
-    if (simThreads == 0)
-        SIM_FATAL("config", "simThreads must be >= 1 (0 would leave no one "
-              "to replay the epoch)");
+    if (simThreads != 1)
+        SIM_FATAL("config", "simThreads must be 1 (%u given): the simulator "
+              "is single-threaded per run; use --jobs for parallel sweeps",
+              simThreads);
     if (faults.offloadRejectRate < 0.0 || faults.offloadRejectRate > 1.0)
         SIM_FATAL("config", "offload reject rate %g outside [0, 1]",
               faults.offloadRejectRate);

@@ -100,11 +100,9 @@ struct ThreadState
     std::deque<std::unique_ptr<Node>> nodes;
     /** Guards children vectors against harvest-time walks. */
     std::mutex shape;
-    /** Rolling tick deciding which sampled-scope entries get timed. */
-    std::uint64_t sampleTick = 0;
 };
 
-/** Sampled scopes time one entry in this many (plus first entries). */
+/** Sampled scopes time one entry in this many, starting with the first. */
 constexpr std::uint64_t kSamplePeriod = 64;
 
 namespace
@@ -170,13 +168,15 @@ scopeExit(Node *node, std::uint64_t ns)
 Node *
 scopeEnterSampled(const char *name, bool &sample)
 {
-    ThreadState &ts = threadState();
     Node *node = scopeEnter(name);
-    // Deterministic per-thread decimation; a node's first entry is
-    // always timed so phases entered fewer than kSamplePeriod times
-    // still get an estimate.
-    sample = (ts.sampleTick++ % kSamplePeriod) == 0 ||
-             node->timedCount.load(std::memory_order_relaxed) == 0;
+    // Decimate on the node's own entry count (count is bumped at exit
+    // and nodes are never re-entered while open). A tick shared across
+    // nodes would alias: nested sampled scopes entered in lockstep
+    // would keep landing on the same phase of the period, and one of
+    // them would never be timed after its first entry. Entry 0 is
+    // timed, so phases entered fewer than kSamplePeriod times still
+    // get an estimate.
+    sample = node->count.load(std::memory_order_relaxed) % kSamplePeriod == 0;
     return node;
 }
 

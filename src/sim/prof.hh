@@ -2,7 +2,7 @@
  * @file
  * Host-side run telemetry: a low-overhead hierarchical phase profiler
  * for the simulator *itself* (where does wall-clock go inside a run —
- * epoch record vs. shard replay, allocator metadata vs. memory-system
+ * epoch execution vs. audits, allocator metadata vs. memory-system
  * charging), plus worker-pool utilization telemetry, run-level memory
  * telemetry (peak RSS, per-tenant arena footprints), named counters,
  * and a stderr progress heartbeat for long serving/chaos runs.
@@ -144,11 +144,12 @@ class Scope
 /**
  * RAII phase scope for *per-element-hot* sites (allocator calls that
  * run millions of times per bench). Every entry is counted exactly,
- * but only one entry in ~64 pays the two clock reads; harvest scales
- * the timed sample back up (and marks the phase `sampled` in the
- * export). A node's first entry is always timed, so rare phases still
- * get an estimate. Cost per untimed entry: the enabled check plus a
- * handful of thread-local/node writes — no clock reads.
+ * but only every 64th entry of each phase node (entries 0, 64, 128,
+ * ...) pays the two clock reads; harvest scales the timed sample back
+ * up (and marks the phase `sampled` in the export). Decimating per
+ * node keeps nested sampled scopes from aliasing, and timing entry 0
+ * gives rare phases an estimate. Cost per untimed entry: the enabled
+ * check plus a handful of thread-local/node writes — no clock reads.
  */
 class ScopeSampled
 {
@@ -254,16 +255,16 @@ struct PoolTelemetry
 {
     /** Roles, including the dispatching caller. */
     unsigned threads = 0;
-    /** dispatch() barriers executed (replay waves, sweep batches). */
+    /** dispatch() barriers executed (sweep batches). */
     std::uint64_t dispatches = 0;
     /** Per-role total busy nanoseconds inside dispatched bodies. */
     std::vector<std::uint64_t> busyNs;
-    /** Sum over dispatches of the slowest role's task-ns (the wave's
+    /** Sum over dispatches of the slowest role's task-ns (the batch's
      *  critical path). */
     std::uint64_t sumMaxTaskNs = 0;
     /** Sum over dispatches of all roles' task-ns. sumMaxTaskNs *
-     *  threads / sumTaskNs is the shard-imbalance ratio (1.0 =
-     *  perfectly balanced waves). */
+     *  threads / sumTaskNs is the load-imbalance ratio across roles
+     *  (1.0 = perfectly balanced batches). */
     std::uint64_t sumTaskNs = 0;
 };
 

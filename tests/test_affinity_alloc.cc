@@ -33,14 +33,19 @@ TEST(AffineAlloc, DefaultInterleaveIsOneLine)
 
 TEST(AffineAlloc, HostMemoryIsWritable)
 {
+    // 8 KB comes from the heap; 2 MiB is mapped directly. Both must be
+    // writable end to end and released by freeAff().
     MachineFixture f;
-    AffineArray req;
-    req.elem_size = 8;
-    req.num_elem = 1000;
-    auto *a = static_cast<double *>(f.allocator->mallocAff(req));
-    for (int i = 0; i < 1000; ++i)
-        a[i] = i * 1.5;
-    EXPECT_DOUBLE_EQ(a[999], 1498.5);
+    for (const std::uint64_t n : {1000ull, 1ull << 18}) {
+        AffineArray req;
+        req.elem_size = 8;
+        req.num_elem = n;
+        auto *a = static_cast<double *>(f.allocator->mallocAff(req));
+        for (std::uint64_t i = 0; i < n; ++i)
+            a[i] = double(i) * 1.5;
+        EXPECT_DOUBLE_EQ(a[n - 1], double(n - 1) * 1.5);
+        f.allocator->freeAff(a);
+    }
 }
 
 TEST(AffineAlloc, InterArrayAlignmentColocatesElements)

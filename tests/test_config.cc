@@ -51,6 +51,16 @@ TEST(Config, ValidateRejectsTooManyChannels)
     EXPECT_THROW(cfg.validate(), FatalError);
 }
 
+TEST(Config, ValidateRejectsSimThreadsOtherThanOne)
+{
+    MachineConfig cfg;
+    EXPECT_EQ(cfg.simThreads, 1u);
+    for (const std::uint32_t t : {0u, 2u, 4u}) {
+        cfg.simThreads = t;
+        EXPECT_THROW(cfg.validate(), FatalError) << "simThreads " << t;
+    }
+}
+
 TEST(Config, ToStringMentionsKeyParameters)
 {
     MachineConfig cfg;

@@ -1,11 +1,11 @@
 /**
  * @file
  * Host-side self-profiler tests: enabling profiling must be invisible
- * to the simulation (identical determinism digests at any sim-thread
- * count), and the harvested phase tree must obey the structural
- * invariants tools/perf_diff.py and the JSON export rely on (child
- * inclusive time bounded by the parent, exclusive = inclusive minus
- * children, counters monotone).
+ * to the simulation (identical determinism digests, serial or under a
+ * parallel --jobs sweep), and the harvested phase tree must obey the
+ * structural invariants tools/perf_diff.py and the JSON export rely on
+ * (child inclusive time bounded by the parent, exclusive = inclusive
+ * minus children, counters monotone).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,10 +61,9 @@ testGraph()
 }
 
 std::string
-digestAt(std::uint32_t sim_threads)
+digestAt()
 {
     RunConfig rc = RunConfig::forMode(ExecMode::affAlloc);
-    rc.machine.simThreads = sim_threads;
     GraphParams p;
     p.graph = &testGraph();
     p.iters = 2;
@@ -115,20 +115,21 @@ using ProfNeutrality = ProfFixture;
 
 TEST_F(ProfNeutrality, DigestsIdenticalProfOnAndOff)
 {
-    const std::string off = digestAt(1);
+    const std::string off = digestAt();
     prof::setEnabled(true);
-    const std::string on = digestAt(1);
+    const std::string on = digestAt();
     EXPECT_EQ(on, off);
 }
 
-TEST_F(ProfNeutrality, DigestsIdenticalUnderShardedReplay)
+TEST_F(ProfNeutrality, DigestsIdenticalUnderParallelSweep)
 {
-    // The acceptance criterion: profiling changes nothing observable
-    // at any --sim-threads count.
-    const std::string base = digestAt(1);
+    // Profiled points running concurrently on the sweep pool (one
+    // phase tree per worker thread) still change nothing observable.
+    const std::string base = digestAt();
     prof::setEnabled(true);
-    for (const std::uint32_t t : {1u, 4u})
-        EXPECT_EQ(digestAt(t), base) << "sim-threads " << t;
+    const std::vector<std::function<std::string()>> points(4, digestAt);
+    for (const std::string &d : harness::runSweep(4, points))
+        EXPECT_EQ(d, base);
 }
 
 // --------------------------------------------------------- phase trees
@@ -159,6 +160,34 @@ TEST_F(ProfPhases, ScopesNestIntoATree)
     checkTreeInvariants(*outer);
 }
 
+TEST_F(ProfPhases, NestedSampledScopesAreEachDecimatedOnTheirOwnCount)
+{
+    if (!prof::compiledIn)
+        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
+    prof::setEnabled(true);
+    // Entered in lockstep, like malloc_aff.irregular around
+    // select_bank: each phase must time one entry in 64 of its own,
+    // not share one decimation tick in which the parent never lands.
+    constexpr std::uint64_t k = 5;
+    for (std::uint64_t i = 0; i < 64 * k; ++i) {
+        PROF_SCOPE_SAMPLED("test/sampled_outer");
+        PROF_SCOPE_SAMPLED("test/sampled_inner");
+    }
+    const prof::Snapshot snap = prof::harvest();
+    const prof::PhaseNode *outer =
+        findPhase(snap.phases, "test/sampled_outer");
+    ASSERT_NE(outer, nullptr);
+    ASSERT_EQ(outer->children.size(), 1u);
+    const prof::PhaseNode &inner = outer->children[0];
+    EXPECT_EQ(outer->count, 64 * k);
+    EXPECT_EQ(inner.count, 64 * k);
+    EXPECT_EQ(outer->timedCount, k);
+    EXPECT_EQ(inner.timedCount, k);
+    EXPECT_TRUE(outer->sampled);
+    EXPECT_TRUE(inner.sampled);
+    checkTreeInvariants(*outer);
+}
+
 TEST_F(ProfPhases, AddTimedRecordsARetroactivePhase)
 {
     if (!prof::compiledIn)
@@ -179,21 +208,13 @@ TEST_F(ProfPhases, RealRunSatisfiesTreeInvariants)
     if (!prof::compiledIn)
         GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     prof::setEnabled(true);
-    digestAt(4);
+    digestAt();
     const prof::Snapshot snap = prof::harvest();
     ASSERT_FALSE(snap.phases.empty());
     for (const prof::PhaseNode &root : snap.phases)
         checkTreeInvariants(root);
-    // The epoch loop's signature phases must be present: the record
-    // phase (addTimed) and the replay phase with its wave children.
-    ASSERT_NE(findPhase(snap.phases, "machine/epoch.record"), nullptr);
-    const prof::PhaseNode *replay =
-        findPhase(snap.phases, "machine/epoch.replay");
-    ASSERT_NE(replay, nullptr);
-    EXPECT_NE(findPhase(replay->children, "machine/epoch.replay/wave1"),
-              nullptr);
-    EXPECT_NE(findPhase(replay->children, "machine/epoch.replay/wave2"),
-              nullptr);
+    // The epoch loop's signature phase (addTimed) must be present.
+    EXPECT_NE(findPhase(snap.phases, "machine/epoch.record"), nullptr);
     EXPECT_NE(findPhase(snap.phases, "alloc/malloc_aff.affine"), nullptr);
 }
 

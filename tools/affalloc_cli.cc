@@ -160,10 +160,6 @@ usage()
                  "      --watchdog-cycles N (livelock threshold; also "
                  "accepted by run/corun/serve;\n"
                  "       env AFFALLOC_SIMCHECK_WATCHDOG)\n"
-                 "  --sim-threads N (any command: shard-parallel epoch "
-                 "replay; results are\n"
-                 "       bit-identical at any N; env "
-                 "AFFALLOC_SIM_THREADS; default 1)\n"
                  "  chaos --replay BUNDLE.json (re-run a shrunk repro "
                  "bundle)\n"
                  "  --prof-out FILE (any command: host-side self-profile "
@@ -385,11 +381,6 @@ parse(int argc, char **argv)
                              "known\n", o.plant.c_str());
                 usage();
             }
-        } else if (a == "--sim-threads") {
-            // Validated and applied by harness::applySimThreads in
-            // main() (it needs the raw argv either way for the env
-            // fallback); consume the value here.
-            (void)next("--sim-threads");
         } else if (a == "--prof-out") {
             // Validated (path opened) by harness::applyProfFlags in
             // main(); consume the value here.
@@ -886,12 +877,10 @@ main(int argc, char **argv)
             std::strcmp(argv[i], "version") == 0)
             printVersion();
     }
-    // Install the process-wide sim-threads default before any
-    // MachineConfig is constructed, and open --prof-out up front;
-    // invalid values/paths are clean CLI errors, not backtraces (or
-    // worse, harvest-time failures after a long run).
+    // Open --prof-out up front; invalid values/paths are clean CLI
+    // errors, not backtraces (or worse, harvest-time failures after a
+    // long run).
     try {
-        harness::applySimThreads(argc, argv);
         harness::applyProfFlags(argc, argv);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "%s\n", e.what());

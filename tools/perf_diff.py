@@ -216,9 +216,9 @@ def run_diff(argv):
 # --------------------------------------------------------------- selftest
 
 FIXTURE_BASE = {
-    "quick": True, "jobs": 1, "sim_threads": 1,
+    "quick": True, "jobs": 1,
     "git_revision": "abc1234", "build_type": "Release",
-    "host_threads": 4,
+    "host_threads": 4, "host_cpu": "Example CPU @ 2.00GHz",
     "benches": {"fig15_affine_scale": 10.0, "fig19_degree": 8.0,
                 "fig04_affine_offset": 0.1},
     "prof": True,
