@@ -242,7 +242,7 @@ AffinityAllocator::poolAllocAligned(std::size_t bytes, int k,
     void *host = newHost(alloc_bytes);
     ownedHost_.emplace(host, alloc_bytes);
     machine_.addressSpace().registerRange(host, alloc_bytes, sim);
-    return PoolCut{host, off, alloc_bytes};
+    return PoolCut{host, sim, off, alloc_bytes};
 }
 
 AffinityAllocator::PoolCut
@@ -282,10 +282,10 @@ AffinityAllocator::nthLiveBank(std::uint32_t n) const
     return 0;
 }
 
-void *
+Addr
 AffinityAllocator::largeAlloc(std::size_t bytes, std::uint64_t intrlv,
                               BankId start_bank, bool partitioned,
-                              std::uint64_t chunk_bytes)
+                              std::uint64_t chunk_bytes, void *&host)
 {
     if (intrlv % mem::pageSize != 0)
         SIM_PANIC("alloc", "large interleaving %llu not page aligned",
@@ -299,13 +299,13 @@ AffinityAllocator::largeAlloc(std::size_t bytes, std::uint64_t intrlv,
     const Addr sim = machine_.simOs().allocPagesAtBanks(banks);
 
     const std::uint64_t alloc_bytes = num_pages * mem::pageSize;
-    void *host = newHost(alloc_bytes);
+    host = newHost(alloc_bytes);
     ownedHost_.emplace(host, alloc_bytes);
     machine_.addressSpace().registerRange(host, alloc_bytes, sim);
 
     (void)partitioned;
     (void)chunk_bytes;
-    return host;
+    return sim;
 }
 
 void *
@@ -327,15 +327,15 @@ AffinityAllocator::allocInterleaved(std::size_t bytes, std::uint64_t intrlv,
                   (unsigned long long)poolCapacity_);
         }
         host = cut.host;
+        info.simBase = cut.sim;
         info.poolIdx = k;
         info.poolOffset = cut.offset;
         info.allocBytes = cut.bytes;
     } else if (intrlv >= mem::pageSize && intrlv % mem::pageSize == 0) {
-        host = largeAlloc(bytes, intrlv, start_bank, false, 0);
+        info.simBase = largeAlloc(bytes, intrlv, start_bank, false, 0, host);
     } else {
         SIM_FATAL("alloc", "unsupported interleaving %llu", (unsigned long long)intrlv);
     }
-    info.simBase = machine_.addressSpace().simAddrOf(host);
     info.bytes = bytes;
     info.elemSize = 1;
     info.numElem = bytes;
@@ -447,6 +447,7 @@ AffinityAllocator::mallocAff(const AffineArray &req)
                 return allocPlain(bytes);
             }
             host = cut.host;
+            info.simBase = cut.sim;
             info.poolIdx = kp;
             info.poolOffset = cut.offset;
             info.allocBytes = cut.bytes;
@@ -454,7 +455,7 @@ AffinityAllocator::mallocAff(const AffineArray &req)
             info.chunkBytes = info.intrlv;
         } else {
             const std::uint64_t chunk = mem::roundUpPage(chunk_raw);
-            host = largeAlloc(bytes, chunk, 0, true, chunk);
+            info.simBase = largeAlloc(bytes, chunk, 0, true, chunk, host);
             info.intrlv = chunk;
             info.chunkBytes = chunk;
         }
@@ -503,14 +504,15 @@ AffinityAllocator::mallocAff(const AffineArray &req)
                 return allocPlain(bytes);
             }
             host = cut.host;
+            info.simBase = cut.sim;
             info.poolIdx = k;
             info.poolOffset = cut.offset;
             info.allocBytes = cut.bytes;
             info.intrlv = mem::poolInterleave(k);
         } else if (intrlv >= mem::pageSize &&
                    intrlv % mem::pageSize == 0) {
-            host = largeAlloc(bytes, intrlv, start,
-                              ali->partitioned, intrlv);
+            info.simBase = largeAlloc(bytes, intrlv, start,
+                                      ali->partitioned, intrlv, host);
             info.partitioned = ali->partitioned;
             info.chunkBytes = ali->partitioned ? intrlv : 0;
             info.intrlv = intrlv;
@@ -537,12 +539,13 @@ AffinityAllocator::mallocAff(const AffineArray &req)
                 return allocPlain(bytes);
             }
             host = cut.host;
+            info.simBase = cut.sim;
             info.poolIdx = k;
             info.poolOffset = cut.offset;
             info.allocBytes = cut.bytes;
             info.intrlv = mem::poolInterleave(k);
         } else {
-            host = largeAlloc(bytes, intrlv, 0, false, 0);
+            info.simBase = largeAlloc(bytes, intrlv, 0, false, 0, host);
             info.intrlv = intrlv;
         }
         info.startBank = 0;
@@ -558,6 +561,7 @@ AffinityAllocator::mallocAff(const AffineArray &req)
             return allocPlain(bytes);
         }
         host = cut.host;
+        info.simBase = cut.sim;
         info.poolIdx = k;
         info.poolOffset = cut.offset;
         info.allocBytes = cut.bytes;
@@ -565,7 +569,6 @@ AffinityAllocator::mallocAff(const AffineArray &req)
         info.startBank = 0;
     }
 
-    info.simBase = machine_.addressSpace().simAddrOf(host);
     record(host, info);
     stats_.affineAllocs += 1;
     return host;
@@ -1015,10 +1018,9 @@ AffinityAllocator::reallocAff(void *ptr, std::size_t new_bytes)
         // other arrays survives the resize.
         next = allocInterleaved(new_bytes, old.intrlv, old.startBank);
     } else if (old.intrlv != 0) {
-        next = largeAlloc(new_bytes, old.intrlv, old.startBank,
-                          old.partitioned, old.chunkBytes);
         ArrayInfo ninfo = old;
-        ninfo.simBase = machine_.addressSpace().simAddrOf(next);
+        ninfo.simBase = largeAlloc(new_bytes, old.intrlv, old.startBank,
+                                   old.partitioned, old.chunkBytes, next);
         ninfo.bytes = new_bytes;
         ninfo.poolIdx = -1;
         record(next, ninfo);

@@ -353,6 +353,8 @@ class AffinityAllocator
     struct PoolCut
     {
         void *host = nullptr;
+        /** Simulated address of the first byte. */
+        Addr sim = invalidAddr;
         Addr offset = 0;
         std::uint64_t bytes = 0;
     };
@@ -384,10 +386,14 @@ class AffinityAllocator
      * AllocatorOptions::legacySpareKeying.
      */
     void maybeReconcileFreeLists();
-    /** Large page-multiple interleaving via page-at-bank remapping. */
-    void *largeAlloc(std::size_t bytes, std::uint64_t intrlv,
-                     BankId start_bank, bool partitioned,
-                     std::uint64_t chunk_bytes);
+    /**
+     * Large page-multiple interleaving via page-at-bank remapping.
+     * Stores the host buffer in @p host and returns its simulated
+     * address.
+     */
+    Addr largeAlloc(std::size_t bytes, std::uint64_t intrlv,
+                    BankId start_bank, bool partitioned,
+                    std::uint64_t chunk_bytes, void *&host);
     /** Record an ArrayInfo keyed by host pointer. */
     void record(void *host, ArrayInfo info);
     /** Pick the interleaving for an intra-array affinity request. */

@@ -1,9 +1,41 @@
 #include "mem/address_space.hh"
 
+#include <algorithm>
+#include <new>
+
+#include <sys/mman.h>
+
 #include "sim/log.hh"
 
 namespace affalloc::mem
 {
+
+namespace
+{
+
+constexpr std::size_t cacheBytes =
+    AddressSpace::cacheSlots * sizeof(const HostRange *);
+
+} // namespace
+
+AddressSpace::AddressSpace()
+{
+    // Mapped rather than allocated zeroed: pages of the table that no
+    // lookup touches stay unbacked, so building a machine does not pay
+    // for clearing 512 KB, and kernels that resolve few host lines add
+    // no resident memory.
+    void *table = ::mmap(nullptr, cacheBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (table == MAP_FAILED)
+        throw std::bad_alloc();
+    cache_.reset(static_cast<const HostRange **>(table));
+}
+
+void
+AddressSpace::Unmap::operator()(const HostRange **table) const
+{
+    ::munmap(table, cacheBytes);
+}
 
 void
 AddressSpace::registerRange(const void *host_ptr, std::size_t bytes,
@@ -22,17 +54,34 @@ AddressSpace::registerRange(const void *host_ptr, std::size_t bytes,
         if (prev->second.hostEnd > start)
             SIM_FATAL("mem", "host range overlaps an existing registration");
     }
+    // No cache invalidation: misses are never cached, and no slot can
+    // hold a range overlapping this one.
     ranges_.emplace(start, range);
-    mru_.fill(nullptr);
 }
 
 void
 AddressSpace::unregisterRange(const void *host_ptr)
 {
     const auto start = reinterpret_cast<std::uintptr_t>(host_ptr);
-    if (ranges_.erase(start) == 0)
+    auto it = ranges_.find(start);
+    if (it == ranges_.end())
         SIM_FATAL("mem", "unregister of unknown host range %p", host_ptr);
-    mru_.fill(nullptr);
+    // A slot only ever holds a range that contains a pointer of a line
+    // mapping to it, so clearing the removed range's own lines is
+    // exact.
+    const HostRange *gone = &it->second;
+    const std::uintptr_t first = start >> lineShift;
+    const std::uintptr_t last = (gone->hostEnd - 1) >> lineShift;
+    if (last - first + 1 >= cacheSlots) {
+        std::fill_n(cache_.get(), cacheSlots, nullptr);
+    } else {
+        for (std::uintptr_t line = first; line <= last; ++line) {
+            const HostRange *&slot = cache_[slotOf(line << lineShift)];
+            if (slot == gone)
+                slot = nullptr;
+        }
+    }
+    ranges_.erase(it);
 }
 
 std::size_t
@@ -46,21 +95,8 @@ AddressSpace::numRangesInSimWindow(Addr sim_lo, Addr sim_hi) const
 }
 
 const HostRange *
-AddressSpace::rangeContaining(const void *host_ptr) const
+AddressSpace::rangeContainingMiss(std::uintptr_t p) const
 {
-    const auto p = reinterpret_cast<std::uintptr_t>(host_ptr);
-    if (!referenceMode_) {
-        for (std::size_t s = 0; s < mruSlots; ++s) {
-            const HostRange *r = mru_[s];
-            if (r && p >= r->hostStart && p < r->hostEnd) {
-                // Rotate [0, s] right so the hit becomes MRU.
-                for (; s > 0; --s)
-                    mru_[s] = mru_[s - 1];
-                mru_[0] = r;
-                return r;
-            }
-        }
-    }
     auto it = ranges_.upper_bound(p);
     if (it == ranges_.begin())
         return nullptr;
@@ -68,11 +104,8 @@ AddressSpace::rangeContaining(const void *host_ptr) const
     const HostRange &r = it->second;
     if (p < r.hostStart || p >= r.hostEnd)
         return nullptr;
-    if (!referenceMode_) {
-        for (std::size_t s = mruSlots - 1; s > 0; --s)
-            mru_[s] = mru_[s - 1];
-        mru_[0] = &r;
-    }
+    if (!referenceMode_)
+        cache_[slotOf(p)] = &r;
     return &r;
 }
 
@@ -84,14 +117,10 @@ AddressSpace::rangeStartingAt(const void *host_ptr) const
     return it == ranges_.end() ? nullptr : &it->second;
 }
 
-Addr
-AddressSpace::simAddrOf(const void *host_ptr) const
+void
+AddressSpace::unregisteredPointer(const void *host_ptr)
 {
-    const HostRange *r = rangeContaining(host_ptr);
-    if (!r)
-        SIM_FATAL("mem", "host pointer %p is not in any registered range", host_ptr);
-    const auto p = reinterpret_cast<std::uintptr_t>(host_ptr);
-    return r->simStart + (p - r->hostStart);
+    SIM_FATAL("mem", "host pointer %p is not in any registered range", host_ptr);
 }
 
 Addr

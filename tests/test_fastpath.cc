@@ -2,7 +2,7 @@
  * @file
  * Tests for the host-side performance fast paths: the software TLB in
  * front of the page table, the sorted/MRU Interleave Override Table,
- * the AddressSpace MRU cache, the parallel sweep runner, and the
+ * the AddressSpace range cache, the parallel sweep runner, and the
  * digest-equivalence guarantee that every fast path produces results
  * bit-identical to the reference (slow) paths.
  */
@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -20,8 +22,10 @@
 #include "mem/iot.hh"
 #include "mem/page_table.hh"
 #include "sim/log.hh"
+#include "sim/rng.hh"
 #include "workloads/affine_workloads.hh"
 #include "workloads/graph_workloads.hh"
+#include "workloads/pointer_workloads.hh"
 
 using namespace affalloc;
 using namespace affalloc::workloads;
@@ -177,13 +181,32 @@ TEST(IotFastPath, ReferenceModeAgrees)
 }
 
 // ------------------------------------------------------------------
-// AddressSpace MRU cache
+// AddressSpace range cache
 // ------------------------------------------------------------------
 
-TEST(AddressSpaceMru, ManyRangesInterleaved)
+namespace
+{
+
+/**
+ * A host address for cache tests. AddressSpace never dereferences the
+ * pointers it registers, so tests can lay out ranges (including ones
+ * far larger than the cache's span) at synthetic addresses.
+ */
+const void *
+hostAt(std::uintptr_t a)
+{
+    return reinterpret_cast<const void *>(a);
+}
+
+constexpr std::uintptr_t lineBytes = 64;
+constexpr std::uintptr_t fakeBase = std::uintptr_t(1) << 32;
+
+} // namespace
+
+TEST(AddressSpaceCache, ManyRangesInterleaved)
 {
     mem::AddressSpace as;
-    // More concurrently-queried ranges than MRU slots.
+    // More concurrently-queried ranges than a small recency cache holds.
     std::vector<std::vector<char>> bufs;
     for (int i = 0; i < 12; ++i)
         bufs.emplace_back(256);
@@ -201,20 +224,91 @@ TEST(AddressSpaceMru, ManyRangesInterleaved)
     }
 }
 
-TEST(AddressSpaceMru, UnregisterEmptiesCache)
+TEST(AddressSpaceCache, UnregisterClearsOnlyItsOwnSlots)
 {
     mem::AddressSpace as;
-    std::vector<char> a(64), b(64);
-    as.registerRange(a.data(), a.size(), 0x1000);
-    as.registerRange(b.data(), b.size(), 0x2000);
-    EXPECT_EQ(as.simAddrOf(a.data() + 5), 0x1005u);
-    as.unregisterRange(a.data());
-    // A stale MRU pointer to the erased node must not survive.
-    EXPECT_EQ(as.rangeContaining(a.data() + 5), nullptr);
-    EXPECT_EQ(as.simAddrOf(b.data() + 7), 0x2007u);
+    const std::uintptr_t a = fakeBase, b = fakeBase + 4 * lineBytes;
+    as.registerRange(hostAt(a), 2 * lineBytes, 0x1000);
+    as.registerRange(hostAt(b), lineBytes, 0x2000);
+    EXPECT_EQ(as.simAddrOf(hostAt(a + 5)), 0x1005u);
+    EXPECT_EQ(as.simAddrOf(hostAt(a + lineBytes + 1)), 0x1000u + 65);
+    EXPECT_EQ(as.simAddrOf(hostAt(b + 7)), 0x2007u);
+    const mem::HostRange *ra = as.cachePeek(hostAt(a));
+    ASSERT_NE(ra, nullptr);
+    EXPECT_EQ(as.cachePeek(hostAt(a + lineBytes)), ra);
+    as.unregisterRange(hostAt(a));
+    // No pointer to the erased node may survive in its lines' slots...
+    EXPECT_EQ(as.cachePeek(hostAt(a)), nullptr);
+    EXPECT_EQ(as.cachePeek(hostAt(a + lineBytes)), nullptr);
+    EXPECT_EQ(as.rangeContaining(hostAt(a + 5)), nullptr);
+    // ...while the neighbour keeps its cached slot.
+    ASSERT_NE(as.cachePeek(hostAt(b)), nullptr);
+    EXPECT_EQ(as.cachePeek(hostAt(b))->hostStart, b);
+    EXPECT_EQ(as.simAddrOf(hostAt(b + 7)), 0x2007u);
 }
 
-TEST(AddressSpaceMru, ReferenceModeAgrees)
+TEST(AddressSpaceCache, CollidingLinesShareOneSlot)
+{
+    mem::AddressSpace as;
+    const std::uintptr_t a = fakeBase;
+    // Find another line whose slot collides with a's.
+    std::uintptr_t b = a + lineBytes;
+    while (mem::AddressSpace::cacheSlotOf(hostAt(b)) !=
+           mem::AddressSpace::cacheSlotOf(hostAt(a)))
+        b += lineBytes;
+    as.registerRange(hostAt(a), 16, 0x1000);
+    as.registerRange(hostAt(b), 16, 0x9000);
+    for (int round = 0; round < 3; ++round) {
+        EXPECT_EQ(as.simAddrOf(hostAt(a + 3)), 0x1003u);
+        EXPECT_EQ(as.cachePeek(hostAt(a))->hostStart, a);
+        EXPECT_EQ(as.simAddrOf(hostAt(b + 3)), 0x9003u);
+        EXPECT_EQ(as.cachePeek(hostAt(a))->hostStart, b);
+    }
+    // Removing the range that does not own the slot leaves it alone.
+    as.unregisterRange(hostAt(a));
+    ASSERT_NE(as.cachePeek(hostAt(b)), nullptr);
+    EXPECT_EQ(as.cachePeek(hostAt(b))->hostStart, b);
+    EXPECT_EQ(as.trySimAddrOf(hostAt(a + 3)), invalidAddr);
+    EXPECT_EQ(as.simAddrOf(hostAt(b + 3)), 0x9003u);
+}
+
+TEST(AddressSpaceCache, RangeLargerThanTableClearsAll)
+{
+    mem::AddressSpace as;
+    const std::uintptr_t big = fakeBase;
+    const std::uintptr_t bigBytes =
+        (mem::AddressSpace::cacheSlots + 1) * lineBytes;
+    const std::uintptr_t small = big + 2 * bigBytes;
+    as.registerRange(hostAt(big), bigBytes, 0x100000);
+    as.registerRange(hostAt(small), 8, 0x10);
+    EXPECT_EQ(as.simAddrOf(hostAt(big + bigBytes - 1)),
+              0x100000u + bigBytes - 1);
+    EXPECT_EQ(as.simAddrOf(hostAt(big + 12345)), 0x100000u + 12345);
+    EXPECT_EQ(as.simAddrOf(hostAt(small + 1)), 0x11u);
+    EXPECT_NE(as.cachePeek(hostAt(small)), nullptr);
+    as.unregisterRange(hostAt(big));
+    // The whole table was cleared, the unrelated slot included.
+    EXPECT_EQ(as.cachePeek(hostAt(small)), nullptr);
+    EXPECT_EQ(as.cachePeek(hostAt(big + 12345)), nullptr);
+    EXPECT_EQ(as.rangeContaining(hostAt(big + 12345)), nullptr);
+    EXPECT_EQ(as.simAddrOf(hostAt(small + 1)), 0x11u);
+}
+
+TEST(AddressSpaceCache, MissesAreNotCached)
+{
+    mem::AddressSpace as;
+    const std::uintptr_t a = fakeBase + 8;
+    EXPECT_EQ(as.rangeContaining(hostAt(a)), nullptr);
+    EXPECT_EQ(as.cachePeek(hostAt(a)), nullptr);
+    as.registerRange(hostAt(a), 8, 0x4000);
+    EXPECT_EQ(as.simAddrOf(hostAt(a + 2)), 0x4002u);
+    EXPECT_EQ(as.cachePeek(hostAt(a))->hostStart, a);
+    // A pointer in the same line but outside the range still misses.
+    EXPECT_EQ(as.rangeContaining(hostAt(a - 1)), nullptr);
+    EXPECT_EQ(as.cachePeek(hostAt(a))->hostStart, a);
+}
+
+TEST(AddressSpaceCache, ReferenceModeAgrees)
 {
     mem::AddressSpace fast, ref;
     ref.setReferenceMode(true);
@@ -231,10 +325,125 @@ TEST(AddressSpaceMru, ReferenceModeAgrees)
         for (int i = 5; i >= 0; --i) {
             EXPECT_EQ(fast.trySimAddrOf(bufs[i].data() + 31),
                       ref.trySimAddrOf(bufs[i].data() + 31));
+            EXPECT_EQ(ref.cachePeek(bufs[i].data() + 31), nullptr);
         }
     }
     int unrelated = 0;
     EXPECT_EQ(fast.trySimAddrOf(&unrelated), ref.trySimAddrOf(&unrelated));
+}
+
+/**
+ * Seeded random register/unregister/lookup traffic against a
+ * reference-mode twin: small, multi-line and larger-than-table ranges
+ * in a region dense enough that lines collide in slots, with lookups
+ * at starts, interiors, exclusive ends, just-freed ranges and gaps.
+ */
+TEST(AddressSpaceCache, DifferentialAgainstReference)
+{
+    mem::AddressSpace fast, ref;
+    ref.setReferenceMode(true);
+    Rng rng(0xadd5ace);
+    // Twice the table's span, so distinct lines share slots.
+    const std::uintptr_t span =
+        2 * mem::AddressSpace::cacheSlots * lineBytes;
+    std::map<std::uintptr_t, std::uintptr_t> live; // start -> end
+    std::vector<std::pair<std::uintptr_t, std::uintptr_t>> freed;
+    Addr nextSim = 0x1000;
+
+    auto expectSame = [&](std::uintptr_t p) {
+        const mem::HostRange *f = fast.rangeContaining(hostAt(p));
+        const mem::HostRange *r = ref.rangeContaining(hostAt(p));
+        ASSERT_EQ(f == nullptr, r == nullptr) << "ptr " << p;
+        if (f) {
+            EXPECT_EQ(f->hostStart, r->hostStart);
+            EXPECT_EQ(f->hostEnd, r->hostEnd);
+            EXPECT_EQ(f->simStart, r->simStart);
+            EXPECT_EQ(fast.simAddrOf(hostAt(p)), ref.simAddrOf(hostAt(p)));
+        } else {
+            EXPECT_THROW(fast.simAddrOf(hostAt(p)), FatalError);
+            EXPECT_EQ(fast.trySimAddrOf(hostAt(p)), invalidAddr);
+        }
+    };
+    auto overlapsLive = [&](std::uintptr_t s, std::uintptr_t e) {
+        auto it = live.lower_bound(s);
+        if (it != live.end() && it->first < e)
+            return true;
+        return it != live.begin() && std::prev(it)->second > s;
+    };
+
+    std::size_t registered = 0, unregistered = 0, bigOnes = 0;
+    for (int op = 0; op < 10'000; ++op) {
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 3 || live.empty()) {
+            std::uintptr_t bytes = 1 + rng.below(200);
+            std::uintptr_t start = fakeBase + rng.below(span);
+            if (rng.below(8) == 0)
+                bytes = 1 + rng.below(64 * lineBytes);
+            if (rng.below(200) == 0) {
+                // Larger than the table, above the small ranges.
+                bytes = (mem::AddressSpace::cacheSlots + rng.below(64)) *
+                        lineBytes;
+                start = fakeBase + span + rng.below(4 * span);
+            }
+            const std::uintptr_t end = start + bytes;
+            if (overlapsLive(start, end)) {
+                EXPECT_THROW(fast.registerRange(hostAt(start), bytes, 0),
+                             FatalError);
+                continue;
+            }
+            // Miss, register, hit: a miss must not stick.
+            expectSame(start);
+            fast.registerRange(hostAt(start), bytes, nextSim);
+            ref.registerRange(hostAt(start), bytes, nextSim);
+            nextSim += bytes + 64;
+            live.emplace(start, end);
+            expectSame(start);
+            expectSame(end - 1);
+            ++registered;
+            bigOnes += bytes >= mem::AddressSpace::cacheSlots * lineBytes;
+        } else if (kind < 5) {
+            auto it = live.begin();
+            std::advance(it, rng.below(live.size()));
+            const auto [start, end] = *it;
+            const std::uintptr_t inner = start + rng.below(end - start);
+            expectSame(inner); // fills the slot
+            const mem::HostRange *gone = fast.rangeContaining(hostAt(inner));
+            fast.unregisterRange(hostAt(start));
+            ref.unregisterRange(hostAt(start));
+            live.erase(it);
+            freed.emplace_back(start, end);
+            for (std::uintptr_t line = start / lineBytes;
+                 line <= (end - 1) / lineBytes &&
+                 line < start / lineBytes + 256;
+                 ++line)
+                EXPECT_NE(fast.cachePeek(hostAt(line * lineBytes)), gone);
+            // Just-freed: nullptr, and simAddrOf is fatal.
+            EXPECT_EQ(fast.rangeContaining(hostAt(inner)), nullptr);
+            EXPECT_THROW(fast.simAddrOf(hostAt(inner)), FatalError);
+            ++unregistered;
+        } else {
+            std::uintptr_t p = fakeBase + rng.below(span);
+            const std::uint64_t where = rng.below(4);
+            if (where == 0 && !freed.empty()) {
+                const auto &[s, e] = freed[rng.below(freed.size())];
+                p = s + rng.below(e - s);
+            } else if (where != 0) {
+                auto it = live.begin();
+                std::advance(it, rng.below(live.size()));
+                const auto [s, e] = *it;
+                p = where == 1 ? s + rng.below(e - s)
+                               : (where == 2 ? e : e - 1);
+            }
+            expectSame(p);
+        }
+        if (HasFatalFailure())
+            return;
+    }
+    // The traffic really hit every case above.
+    EXPECT_GT(registered, 2000u);
+    EXPECT_GT(unregistered, 1000u);
+    EXPECT_GT(bigOnes, 0u);
+    EXPECT_EQ(fast.size(), live.size());
 }
 
 // ------------------------------------------------------------------
@@ -377,4 +586,37 @@ TEST(DigestEquivalence, GraphWorkloads)
                     runBfs(withReferencePaths(rc), p,
                            BfsStrategy::gapSwitch)
                         .run);
+}
+
+/**
+ * The pointer kernels resolve one host pointer per hop, and in
+ * Near-L3 mode every node is its own registered range; churn_list
+ * also frees and re-allocates nodes between its search epochs, so
+ * range-cache invalidation is exercised mid-run.
+ */
+TEST(DigestEquivalence, PointerWorkloads)
+{
+    LinkListParams ll;
+    ll.numLists = 48;
+    ll.nodesPerList = 64;
+    HashJoinParams hj;
+    hj.buildRows = 4096;
+    hj.probeRows = 8192;
+    hj.numBuckets = 1024;
+    ChurnListParams cl;
+    cl.numLists = 32;
+    cl.nodesPerList = 48;
+    cl.rounds = 4;
+    BinTreeParams bt;
+    bt.numNodes = 4096;
+    bt.numLookups = 8192;
+    for (ExecMode m : {ExecMode::nearL3, ExecMode::affAlloc}) {
+        SCOPED_TRACE(static_cast<int>(m));
+        const RunConfig rc = RunConfig::forMode(m);
+        const RunConfig ref = withReferencePaths(rc);
+        expectIdentical(runLinkList(rc, ll), runLinkList(ref, ll));
+        expectIdentical(runHashJoin(rc, hj), runHashJoin(ref, hj));
+        expectIdentical(runChurnList(rc, cl), runChurnList(ref, cl));
+        expectIdentical(runBinTree(rc, bt), runBinTree(ref, bt));
+    }
 }
