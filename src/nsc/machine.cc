@@ -794,6 +794,24 @@ Machine::l3StreamAccess(BankId requester, Addr vaddr, std::uint32_t bytes,
     return out;
 }
 
+BankId
+Machine::affineLineAccess(Addr vaddr, bool is_write)
+{
+    const Addr paddr = os_.pageTable().translate(vaddr);
+    const BankId home = mapper_.bankOf(paddr);
+    if ((vaddr & (cfg_.lineSize - 1)) != 0) {
+        l3StreamAccess(home, vaddr, cfg_.lineSize,
+                       is_write ? AccessType::write : AccessType::read);
+        return home;
+    }
+    // l3StreamAccess() with requester == home: no remote leg, and the
+    // latency it would sum is not needed by the affine kernel.
+    seTranslate(home, vaddr);
+    bool hit = false;
+    probeL3Line(home, paddr / cfg_.lineSize, is_write, hit);
+    return home;
+}
+
 Cycles
 Machine::forwardData(BankId from, BankId to, std::uint32_t bytes)
 {

@@ -287,6 +287,17 @@ class Machine
     AccessOutcome l3StreamAccess(BankId requester, Addr vaddr,
                                  std::uint32_t bytes, AccessType type);
 
+    /**
+     * One line of an affine sub-stream, read or written by the stream
+     * engine at the line's own home bank; returns that bank. Equivalent
+     * to l3StreamAccess(bankOfSim(vaddr), vaddr, lineSize, type) — same
+     * stats, traffic and cache state — but a line-aligned @p vaddr is
+     * translated and bank-mapped once and, being local, pays no remote
+     * leg. An unaligned @p vaddr spans two lines and takes
+     * l3StreamAccess() itself.
+     */
+    BankId affineLineAccess(Addr vaddr, bool is_write);
+
     /** Forward @p bytes of operand data from one bank to another. */
     Cycles forwardData(BankId from, BankId to, std::uint32_t bytes);
 

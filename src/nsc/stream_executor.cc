@@ -1,6 +1,7 @@
 #include "nsc/stream_executor.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/chrome_trace.hh"
 #include "sim/log.hh"
@@ -84,6 +85,7 @@ StreamExecutor::affineKernel(const std::vector<AffineRef> &loads,
     const auto &cfg = machine_.config();
     const std::uint32_t cores = cfg.numTiles();
     const std::uint32_t line = cfg.lineSize;
+    const int line_shift = std::countr_zero(line);
     const std::uint64_t slice = (num_elems + cores - 1) / cores;
     const std::uint64_t chunk = cfg.epochChunk;
     const std::uint64_t epochs = (slice + chunk - 1) / chunk;
@@ -204,7 +206,7 @@ StreamExecutor::affineKernel(const std::vector<AffineRef> &loads,
                     while (i < i_hi) {
                         const Addr a =
                             ref.simBase + Addr(i + off) * es;
-                        const Addr al = a / line;
+                        const Addr al = a >> line_shift;
                         // Coalesced streams advance monotonically: a
                         // lagging offset's line was already fetched.
                         if (ll == invalidAddr || al > ll) {
@@ -258,21 +260,18 @@ StreamExecutor::affineKernel(const std::vector<AffineRef> &loads,
                     while (g < g_hi) {
                         const Addr a =
                             ref.simBase + Addr(g + off) * es;
-                        const Addr al = a / line;
+                        const Addr al = a >> line_shift;
                         if (ll == invalidAddr || al > ll) {
                             ll = al;
-                            const BankId home = machine_.bankOfSim(a);
                             // Affine streams execute as strided
                             // sub-streams: every participating bank
                             // works on its own stripe after one
                             // configuration, so no per-line migration
                             // is paid (only irregular streams
                             // migrate).
+                            const BankId home =
+                                machine_.affineLineAccess(a, is_store);
                             cb = home;
-                            machine_.l3StreamAccess(home, a, line,
-                                                    is_store
-                                                        ? AccessType::write
-                                                        : AccessType::read);
                             if (!is_store && home != site)
                                 machine_.forwardData(home, site, line);
                         }

@@ -109,7 +109,10 @@ namespace
 {
 
 std::mutex registryMu_;
-std::vector<ThreadState *> threads_;
+// Never destroyed: a static vector would be torn down at exit and
+// leave the leaked per-thread states unreachable, which LeakSanitizer
+// reports. The heap vector stays reachable through this reference.
+std::vector<ThreadState *> &threads_ = *new std::vector<ThreadState *>;
 
 ThreadState &
 threadState()

@@ -6,6 +6,7 @@
 
 #include "sim/log.hh"
 #include "sim/rng.hh"
+#include "workloads/stencil_steps.hh"
 
 namespace affalloc::workloads
 {
@@ -160,14 +161,7 @@ runPathfinder(RunContext &ctx, const PathfinderParams &p)
     for (int t = 1; t < p.iters; ++t) {
         const float *row = wall + std::uint64_t(t) * n;
         // Host-functional DP step.
-        for (std::uint64_t i = 0; i < n; ++i) {
-            float best = src[i];
-            if (i > 0)
-                best = std::min(best, src[i - 1]);
-            if (i + 1 < n)
-                best = std::min(best, src[i + 1]);
-            dst[i] = row[i] + best;
-        }
+        stencil::pathfinderStep(src, row, dst, n);
         // Timed replay: loads src[i-1..i+1] + wall row, store dst.
         ctx.exec.affineKernel(
             {ref(ctx, src, -1), ref(ctx, src, 0), ref(ctx, src, +1),
@@ -223,19 +217,8 @@ runHotspot(RunContext &ctx, const HotspotParams &p)
     }
     preloadAll(ctx, {temp, power, out}, n * sizeof(float));
 
-    constexpr float cap = 0.2f;
     for (int t = 0; t < p.iters; ++t) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const float up = i >= p.cols ? temp[i - p.cols] : temp[i];
-            const float down =
-                i + p.cols < n ? temp[i + p.cols] : temp[i];
-            const float left = i % p.cols ? temp[i - 1] : temp[i];
-            const float right =
-                (i + 1) % p.cols ? temp[i + 1] : temp[i];
-            out[i] = temp[i] +
-                     cap * (power[i] +
-                            (up + down + left + right - 4.0f * temp[i]));
-        }
+        stencil::hotspotStep(temp, power, out, p.rows, p.cols);
         ctx.exec.affineKernel(
             {ref(ctx, temp, -w), ref(ctx, temp, +w), ref(ctx, temp, -1),
              ref(ctx, temp, +1), ref(ctx, temp, 0), ref(ctx, power)},
@@ -273,35 +256,15 @@ runSrad(RunContext &ctx, const SradParams &p)
         img[i] = static_cast<float>(rng.uniform()) + 0.1f;
     preloadAll(ctx, {img, coef, out}, n * sizeof(float));
 
-    constexpr float lambda = 0.125f;
     for (int t = 0; t < p.iters; ++t) {
         // Pass 1: diffusion coefficient from image gradients.
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const float c = img[i];
-            const float dn = (i >= p.cols ? img[i - p.cols] : c) - c;
-            const float ds = (i + p.cols < n ? img[i + p.cols] : c) - c;
-            const float dw_ = (i % p.cols ? img[i - 1] : c) - c;
-            const float de = ((i + 1) % p.cols ? img[i + 1] : c) - c;
-            const float g2 =
-                (dn * dn + ds * ds + dw_ * dw_ + de * de) / (c * c);
-            coef[i] = 1.0f / (1.0f + g2);
-        }
+        stencil::sradCoefStep(img, coef, p.rows, p.cols);
         ctx.exec.affineKernel(
             {ref(ctx, img, -w), ref(ctx, img, +w), ref(ctx, img, -1),
              ref(ctx, img, +1), ref(ctx, img, 0)},
             {ref(ctx, coef)}, n, 12.0, "coef");
         // Pass 2: divergence update.
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const float c = img[i];
-            const float cn = i >= p.cols ? coef[i - p.cols] : coef[i];
-            const float cw_ = i % p.cols ? coef[i - 1] : coef[i];
-            const float div =
-                coef[i] * ((i + p.cols < n ? img[i + p.cols] : c) - c) +
-                cn * ((i >= p.cols ? img[i - p.cols] : c) - c) +
-                coef[i] * (((i + 1) % p.cols ? img[i + 1] : c) - c) +
-                cw_ * ((i % p.cols ? img[i - 1] : c) - c);
-            out[i] = c + lambda * div;
-        }
+        stencil::sradUpdateStep(img, coef, out, p.rows, p.cols);
         ctx.exec.affineKernel(
             {ref(ctx, coef, -w), ref(ctx, coef, -1), ref(ctx, coef, 0),
              ref(ctx, img, -w), ref(ctx, img, +w), ref(ctx, img, -1),
@@ -344,19 +307,8 @@ runHotspot3d(RunContext &ctx, const Hotspot3dParams &p)
     }
     preloadAll(ctx, {temp, power, out}, n * sizeof(float));
 
-    constexpr float cc = 0.1f;
     for (int t = 0; t < p.iters; ++t) {
-        for (std::uint64_t i = 0; i < n; ++i) {
-            auto at = [&](std::int64_t j) {
-                return (j >= 0 && j < std::int64_t(n))
-                           ? temp[j]
-                           : temp[i];
-            };
-            const std::int64_t si = static_cast<std::int64_t>(i);
-            const float sum = at(si - 1) + at(si + 1) + at(si - w) +
-                              at(si + w) + at(si - pl) + at(si + pl);
-            out[i] = temp[i] + cc * (power[i] + sum - 6.0f * temp[i]);
-        }
+        stencil::hotspot3dStep(temp, power, out, p.nx, p.ny, p.nz);
         ctx.exec.affineKernel(
             {ref(ctx, temp, -1), ref(ctx, temp, +1), ref(ctx, temp, -w),
              ref(ctx, temp, +w), ref(ctx, temp, -pl),

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "sim/log.hh"
+#include "sim/rng.hh"
+#include "sim/simcheck.hh"
 
 #include "test_helpers.hh"
 
@@ -181,4 +186,113 @@ TEST(Machine, DirtyL3EvictionsWriteBack)
     const auto &s = f.machine->stats();
     EXPECT_GT(s.dramBytes, 0u);
     EXPECT_GT(s.l3Misses, 0u);
+}
+
+namespace
+{
+
+/**
+ * Drive two fresh twin machines through the same seeded affine line
+ * accesses — one with bankOfSim() + l3StreamAccess(), the other with
+ * affineLineAccess() — over heap (Near-L3) and pool (Aff-Alloc) lines,
+ * aligned and unaligned, reads and writes, and require identical
+ * banks, stats, network counters, L3 contents and epoch durations.
+ */
+void
+expectAffineLineAccessEquivalent(bool offline_bank)
+{
+    MachineFixture ref;
+    MachineFixture fast;
+    constexpr std::uint64_t bytes = 256 << 10;
+    std::vector<Addr> bases;
+    for (MachineFixture *f : {&ref, &fast}) {
+        void *heap = f->allocator->allocPlain(bytes);
+        void *pool = f->allocator->allocInterleaved(bytes, 64, 0);
+        alloc::AffineArray req;
+        req.elem_size = sizeof(float);
+        req.num_elem = bytes / sizeof(float);
+        void *aff = f->allocator->mallocAff(req);
+        const mem::AddressSpace &as = f->machine->addressSpace();
+        std::vector<Addr> mine = {as.simAddrOf(heap), as.simAddrOf(pool),
+                                  as.simAddrOf(aff)};
+        if (bases.empty())
+            bases = mine;
+        ASSERT_EQ(bases, mine); // twins lay out memory identically
+        for (Addr b : mine)
+            f->machine->preloadL3Range(b, bytes / 2);
+        if (offline_bank)
+            f->machine->injectBankFault(5);
+    }
+    ASSERT_NE(bases[0] >= mem::poolVirtBase, bases[1] >= mem::poolVirtBase)
+        << "one heap and one pool range";
+
+    Rng rng(77);
+    std::set<Addr> touched;
+    std::uint64_t unaligned = 0;
+    for (int epoch = 0; epoch < 4; ++epoch) {
+        ref.machine->beginEpoch();
+        fast.machine->beginEpoch();
+        for (int k = 0; k < 1500; ++k) {
+            const Addr base = bases[rng.below(bases.size())];
+            // The last line is never unaligned, so a split access
+            // stays inside the range.
+            Addr a = base + rng.below(bytes / 64 - 1) * 64;
+            if (rng.chance(0.25)) {
+                a += 4 * (1 + rng.below(15));
+                ++unaligned;
+            }
+            const bool is_write = rng.chance(0.4);
+            const BankId home = ref.machine->bankOfSim(a);
+            ref.machine->l3StreamAccess(
+                home, a, 64, is_write ? AccessType::write : AccessType::read);
+            ASSERT_EQ(fast.machine->affineLineAccess(a, is_write), home)
+                << "vaddr " << a;
+            touched.insert(a / 64);
+            touched.insert((a + 63) / 64);
+        }
+        ASSERT_EQ(ref.machine->endEpoch(), fast.machine->endEpoch());
+    }
+    EXPECT_GT(unaligned, 0u);
+
+    for (const sim::CounterRef &c : sim::statsCounters()) {
+        EXPECT_EQ(c.get(ref.machine->stats()), c.get(fast.machine->stats()))
+            << c.name;
+    }
+    EXPECT_EQ(simcheck::digestOfStats(ref.machine->stats()),
+              simcheck::digestOfStats(fast.machine->stats()));
+    if (offline_bank) {
+        EXPECT_EQ(ref.machine->stats().offlineBanks, 1u);
+    }
+    EXPECT_GT(ref.machine->stats().l3Misses, 0u);
+    EXPECT_GT(ref.machine->stats().tlbAccesses, 0u);
+    EXPECT_EQ(ref.machine->network().lifetimeLinkFlits(),
+              fast.machine->network().lifetimeLinkFlits());
+    EXPECT_EQ(ref.machine->network().totalLinkFlits(),
+              fast.machine->network().totalLinkFlits());
+    EXPECT_DOUBLE_EQ(ref.machine->nocUtilization(),
+                     fast.machine->nocUtilization());
+    for (Addr vline : touched) {
+        const Addr pline = ref.os->pageTable().translate(vline * 64) / 64;
+        for (BankId b = 0; b < ref.cfg.numBanks(); ++b) {
+            ASSERT_EQ(ref.machine->l3Bank(b).contains(pline),
+                      fast.machine->l3Bank(b).contains(pline))
+                << "line " << vline << " bank " << b;
+        }
+    }
+    for (BankId b = 0; b < ref.cfg.numBanks(); ++b) {
+        EXPECT_EQ(ref.machine->l3Bank(b).residentLines(),
+                  fast.machine->l3Bank(b).residentLines());
+    }
+}
+
+} // namespace
+
+TEST(AffineLineAccess, MatchesBankOfSimPlusStreamAccess)
+{
+    expectAffineLineAccessEquivalent(/*offline_bank=*/false);
+}
+
+TEST(AffineLineAccess, MatchesUnderSpareRedirection)
+{
+    expectAffineLineAccessEquivalent(/*offline_bank=*/true);
 }

@@ -17,11 +17,16 @@ Exit codes (CI contract):
     0  no regression beyond the thresholds
     1  at least one regression beyond a threshold (CI treats as warning)
     2  schema/parse error — unreadable file, wrong shape (CI fails)
+    3  a phase's entry count differs between the two files (CI fails)
 
 Wall-clock comparisons are inherently noisy; the default threshold is
 deliberately loose (10%) and benches faster than --min-seconds are
 reported but never flagged. Memory (peak RSS) gets its own threshold
-because it is stable run-to-run.
+because it is stable run-to-run. Phase entry counts ("count" in
+profiles/phases) are deterministic — the same at any --jobs — so they
+are compared exactly: a phase whose count changed, or that appears in
+only one file, is drift (exit 3, which wins over exit 1). A change
+that moves a count on purpose refreshes the committed baseline.
 """
 
 import argparse
@@ -31,6 +36,7 @@ import sys
 EXIT_OK = 0
 EXIT_REGRESSION = 1
 EXIT_SCHEMA = 2
+EXIT_COUNT_DRIFT = 3
 
 PROF_SCHEMA = "affalloc-prof-1"
 
@@ -76,25 +82,54 @@ def fmt_delta(new, old):
 class Report:
     def __init__(self):
         self.regressions = []
+        self.drifts = []
         self.notes = []
 
     def regress(self, msg):
         self.regressions.append(msg)
 
+    def drift(self, msg):
+        self.drifts.append(msg)
+
     def note(self, msg):
         self.notes.append(msg)
+
+    def exit_code(self):
+        if self.drifts:
+            return EXIT_COUNT_DRIFT
+        return EXIT_REGRESSION if self.regressions else EXIT_OK
 
     def emit(self, out=sys.stdout):
         for n in self.notes:
             print(f"  {n}", file=out)
         for r in self.regressions:
             print(f"REGRESSION: {r}", file=out)
-        if not self.regressions:
+        for d in self.drifts:
+            print(f"COUNT DRIFT: {d}", file=out)
+        if not self.regressions and not self.drifts:
             print("perf_diff: OK (no regression beyond thresholds)",
                   file=out)
         else:
-            print(f"perf_diff: {len(self.regressions)} regression(s)",
-                  file=out)
+            print(f"perf_diff: {len(self.regressions)} regression(s), "
+                  f"{len(self.drifts)} count drift(s)", file=out)
+
+
+def phase_counts(nodes, acc):
+    """Sum entry counts per phase name across the whole tree."""
+    for p in nodes:
+        acc[p["name"]] = acc.get(p["name"], 0) + int(p.get("count", 0))
+        phase_counts(p.get("children", []) or [], acc)
+    return acc
+
+
+def diff_counts(label, old_nodes, new_nodes, rep):
+    """Flag every phase whose entry count differs (absent counts as
+    missing, not zero: a phase that stopped running is drift too)."""
+    old, new = phase_counts(old_nodes, {}), phase_counts(new_nodes, {})
+    for name in sorted(set(old) | set(new)):
+        o, n = old.get(name, "absent"), new.get(name, "absent")
+        if o != n:
+            rep.drift(f"{label}phase {name} count: {o} -> {n}")
 
 
 def diff_overall(base, cur, args, rep):
@@ -127,6 +162,8 @@ def diff_overall(base, cur, args, rep):
     for name in sorted(b_prof):
         if name not in c_prof:
             continue
+        diff_counts(f"{name} ", b_prof[name].get("phases") or [],
+                    c_prof[name].get("phases") or [], rep)
         old = int(b_prof[name].get("peak_rss_kb", 0))
         new = int(c_prof[name].get("peak_rss_kb", 0))
         if old <= 0 or new <= 0:
@@ -158,6 +195,7 @@ def diff_prof(base, cur, args, rep):
             flatten(p.get("children", []) or [], acc)
         return acc
 
+    diff_counts("", base["phases"], cur["phases"], rep)
     old_phases = flatten(base["phases"], {})
     for name, new in sorted(flatten(cur["phases"], {}).items()):
         old = old_phases.get(name, 0)
@@ -210,7 +248,7 @@ def run_diff(argv):
     else:
         diff_prof(base, cur, args, rep)
     rep.emit()
-    return EXIT_REGRESSION if rep.regressions else EXIT_OK
+    return rep.exit_code()
 
 
 # --------------------------------------------------------------- selftest
@@ -223,8 +261,12 @@ FIXTURE_BASE = {
                 "fig04_affine_offset": 0.1},
     "prof": True,
     "profiles": {
-        "fig15_affine_scale": {"schema": PROF_SCHEMA, "wall_ns": 10_000,
-                               "peak_rss_kb": 50_000, "phases": []},
+        "fig15_affine_scale": {
+            "schema": PROF_SCHEMA, "wall_ns": 10_000,
+            "peak_rss_kb": 50_000,
+            "phases": [{"name": "machine/epoch.record",
+                        "inclusive_ns": 8_000, "exclusive_ns": 8_000,
+                        "count": 298}]},
     },
     "total_seconds": 18.1,
 }
@@ -285,6 +327,27 @@ def selftest():
     rss["profiles"]["fig15_affine_scale"]["peak_rss_kb"] = 90_000
     run_case("rss-regression", FIXTURE_BASE, rss, EXIT_REGRESSION)
 
+    # Phase entry counts are exact: one extra epoch is drift (exit 3),
+    # and so is a phase that vanished; drift outranks a wall regression.
+    drifted = json.loads(json.dumps(FIXTURE_BASE))
+    drifted["profiles"]["fig15_affine_scale"]["phases"][0]["count"] = 299
+    run_case("count-drift", FIXTURE_BASE, drifted, EXIT_COUNT_DRIFT)
+    vanished = json.loads(json.dumps(FIXTURE_BASE))
+    vanished["profiles"]["fig15_affine_scale"]["phases"] = []
+    run_case("count-drift-phase-vanished", FIXTURE_BASE, vanished,
+             EXIT_COUNT_DRIFT)
+    drifted_slow = json.loads(json.dumps(drifted))
+    drifted_slow["benches"]["fig15_affine_scale"] = 15.0
+    run_case("count-drift-outranks-regression", FIXTURE_BASE, drifted_slow,
+             EXIT_COUNT_DRIFT)
+    # Equal counts with a slower wall clock stay a (warn-only) exit 1.
+    slower = json.loads(json.dumps(FIXTURE_BASE))
+    slower["benches"]["fig15_affine_scale"] = 15.0
+    slower["profiles"]["fig15_affine_scale"]["phases"][0][
+        "inclusive_ns"] = 12_000
+    run_case("equal-counts-slower-wall", FIXTURE_BASE, slower,
+             EXIT_REGRESSION)
+
     # Malformed input and wrong shapes are schema errors (exit 2).
     run_case("malformed-json", FIXTURE_BASE, "{not json", EXIT_SCHEMA)
     run_case("wrong-shape", FIXTURE_BASE, {"hello": 1}, EXIT_SCHEMA)
@@ -314,6 +377,11 @@ def selftest():
     nested_cur["phases"][0]["children"][0]["inclusive_ns"] = 7_000_000_000
     run_case("nested-phase-regression", nested_base, nested_cur,
              EXIT_REGRESSION)
+    # ...and so is a count drift in a nested phase.
+    nested_drift = json.loads(json.dumps(nested_base))
+    nested_drift["phases"][0]["children"][0]["count"] = 6
+    run_case("prof-nested-count-drift", nested_base, nested_drift,
+             EXIT_COUNT_DRIFT)
 
     # Mixed kinds cannot be compared.
     run_case("mixed-kinds", FIXTURE_BASE, prof_base, EXIT_SCHEMA)
