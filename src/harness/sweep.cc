@@ -1,17 +1,19 @@
 #include "harness/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "sim/log.hh"
 #include "sim/prof.hh"
-#include "sim/worker_pool.hh"
 
 namespace affalloc::harness
 {
@@ -19,16 +21,37 @@ namespace affalloc::harness
 namespace
 {
 
+/** Same cap as affalloc_cli's count-valued flags. */
+constexpr unsigned long maxJobs = 1024;
+
+/**
+ * Strict decimal parse of a job count: the whole value must be digits
+ * and at most maxJobs, so "abc", "4x" and "-3" fail instead of
+ * turning into some other count. 0 means one per hardware thread.
+ */
 unsigned
-clampJobs(long requested)
+validateJobs(const char *text, const char *origin)
 {
-    if (requested == 0) {
+    bool ok = *text != '\0';
+    for (const char *c = text; *c; ++c)
+        ok = ok && *c >= '0' && *c <= '9';
+    unsigned long v = 0;
+    if (ok) {
+        errno = 0;
+        v = std::strtoul(text, nullptr, 10);
+        ok = errno == 0 && v <= maxJobs;
+    }
+    if (!ok) {
+        SIM_FATAL("harness",
+                  "%s: '%s' is not a job count (need an integer in "
+                  "[0, %lu]; 0 = one per hardware thread)",
+                  origin, text, maxJobs);
+    }
+    if (v == 0) {
         const unsigned hw = std::thread::hardware_concurrency();
         return hw == 0 ? 1 : hw;
     }
-    if (requested < 0)
-        return 1;
-    return static_cast<unsigned>(requested);
+    return static_cast<unsigned>(v);
 }
 
 } // namespace
@@ -41,13 +64,13 @@ parseJobs(int argc, char **argv)
         if (std::strcmp(arg, "--jobs") == 0) {
             if (i + 1 >= argc)
                 SIM_FATAL("harness", "--jobs requires a value");
-            return clampJobs(std::strtol(argv[i + 1], nullptr, 10));
+            return validateJobs(argv[i + 1], "--jobs");
         }
         if (std::strncmp(arg, "--jobs=", 7) == 0)
-            return clampJobs(std::strtol(arg + 7, nullptr, 10));
+            return validateJobs(arg + 7, "--jobs");
     }
     if (const char *env = std::getenv("AFFALLOC_JOBS"); env && *env)
-        return clampJobs(std::strtol(env, nullptr, 10));
+        return validateJobs(env, "AFFALLOC_JOBS");
     return 1;
 }
 
@@ -180,47 +203,45 @@ runSweepTasks(unsigned jobs, std::vector<std::function<void()>> tasks)
 
     const unsigned workers =
         static_cast<unsigned>(std::min<std::size_t>(jobs, n));
+    // Sampled once so that every worker of a batch agrees on it.
+    const bool timed = prof::enabled();
     std::atomic<std::size_t> next{0};
     std::vector<std::exception_ptr> errors(n);
+    std::vector<std::uint64_t> busyNs(workers);
 
-    auto worker = [&] {
+    auto worker = [&](unsigned w) {
+        const std::uint64_t t0 = timed ? prof::nowNs() : 0;
         for (;;) {
             const std::size_t i = next.fetch_add(1);
             if (i >= n)
-                return;
+                break;
             try {
                 tasks[i]();
             } catch (...) {
                 errors[i] = std::current_exception();
             }
         }
+        if (timed)
+            busyNs[w] = prof::nowNs() - t0;
     };
 
-    // Reuse the process-wide worker pool so back-to-back sweeps stop
-    // paying thread spawn/join per call. dispatch() is not reentrant,
-    // so a sweep nested inside another sweep's task falls back to the
-    // original ad-hoc threads.
-    static std::atomic<bool> poolBusy{false};
-    bool expected = false;
-    if (poolBusy.compare_exchange_strong(expected, true)) {
-        prof::counterAdd("sweep/pool_batches", 1);
-        sim::WorkerPool &pool = sim::sharedWorkerPool(workers);
-        pool.dispatch([&](unsigned role) {
-            // The shared pool only ever grows; excess roles from a
-            // wider earlier sweep sit this one out.
-            if (role < workers)
-                worker();
-        });
-        poolBusy.store(false);
-    } else {
-        prof::counterAdd("sweep/adhoc_batches", 1);
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(worker);
-        for (auto &t : pool)
-            t.join();
+    // Nested and concurrent sweeps take this same path. The calling
+    // thread is the last worker, so tasks it runs nest under this
+    // sweep's phase scope.
+    std::vector<std::thread> threads;
+    threads.reserve(workers - 1);
+    try {
+        for (unsigned w = 0; w + 1 < workers; ++w)
+            threads.emplace_back(worker, w);
+    } catch (const std::system_error &) {
+        // Out of host threads: the workers already running drain the
+        // batch, as would the caller alone.
     }
+    worker(workers - 1);
+    for (auto &t : threads)
+        t.join();
+    if (timed)
+        prof::noteSweepBatch(busyNs);
 
     // Deterministic error reporting: the lowest-indexed failure wins,
     // exactly as it would have surfaced from the serial loop.

@@ -3,8 +3,7 @@
  * Parallel sweep runner. Figure benches sweep many independent
  * (workload, configuration) points; every point builds its own
  * os::SimOS + nsc::Machine + workload state inside its run function,
- * so points share no mutable state and can execute on a small thread
- * pool. Results are always delivered in sweep order — callers print
+ * so points share no mutable state and can execute on worker threads. Results are always delivered in sweep order — callers print
  * from the collected vector, so bench output (and the determinism
  * digests folded from it) is byte-identical at any job count.
  */
@@ -23,7 +22,8 @@ namespace affalloc::harness
 /**
  * Parse the shared --jobs flag: `--jobs N`, `--jobs=N`, or the
  * AFFALLOC_JOBS environment variable (flag wins). Returns at least 1;
- * `--jobs 0` means "one per hardware thread".
+ * `--jobs 0` means "one per hardware thread". A value that is not an
+ * integer in [0, 1024] is fatal.
  */
 unsigned parseJobs(int argc, char **argv);
 
@@ -49,7 +49,8 @@ bool applyProfFlags(int argc, char **argv);
 /**
  * Execute every task, spreading them over @p jobs worker threads
  * (inline on the calling thread when jobs <= 1 or there is only one
- * task). Tasks are claimed in index order. If any task throws, the
+ * task). The calling thread is one of the workers; nested and
+ * concurrent calls are fine. Tasks are claimed in index order. If any task throws, the
  * exception of the lowest-indexed failing task is rethrown on the
  * caller after all workers have drained.
  */

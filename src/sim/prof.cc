@@ -220,8 +220,7 @@ std::map<std::uint32_t, std::uint64_t> arenas_;
 
 // ---------------------------------------------------------------- pools
 std::mutex poolsMu_;
-std::map<const void *, PoolTelemetry (*)(const void *)> livePools_;
-std::vector<PoolTelemetry> retiredPools_;
+std::map<unsigned, PoolTelemetry> pools_;
 
 // ------------------------------------------------------------- progress
 std::atomic<bool> progressOn_{false};
@@ -363,19 +362,23 @@ noteArenaFootprint(std::uint32_t arena, std::uint64_t bytes)
 }
 
 void
-registerPool(const void *key, PoolTelemetry (*fn)(const void *))
+noteSweepBatch(const std::vector<std::uint64_t> &busyNs)
 {
+    const unsigned threads = static_cast<unsigned>(busyNs.size());
     std::lock_guard<std::mutex> lk(poolsMu_);
-    livePools_[key] = fn;
-}
-
-void
-unregisterPool(const void *key, const PoolTelemetry &final_snapshot)
-{
-    std::lock_guard<std::mutex> lk(poolsMu_);
-    livePools_.erase(key);
-    if (final_snapshot.dispatches > 0)
-        retiredPools_.push_back(final_snapshot);
+    PoolTelemetry &p = pools_[threads];
+    if (p.threads == 0) {
+        p.threads = threads;
+        p.busyNs.assign(threads, 0);
+    }
+    p.dispatches += 1;
+    std::uint64_t mx = 0;
+    for (unsigned w = 0; w < threads; ++w) {
+        p.busyNs[w] += busyNs[w];
+        p.sumTaskNs += busyNs[w];
+        mx = std::max(mx, busyNs[w]);
+    }
+    p.sumMaxTaskNs += mx;
 }
 
 void
@@ -477,12 +480,8 @@ harvest()
     }
     {
         std::lock_guard<std::mutex> lk(poolsMu_);
-        snap.pools = retiredPools_;
-        for (const auto &[key, fn] : livePools_) {
-            PoolTelemetry t = fn(key);
-            if (t.dispatches > 0)
-                snap.pools.push_back(std::move(t));
-        }
+        for (const auto &kv : pools_)
+            snap.pools.push_back(kv.second);
     }
     snap.peakRssKb = readProcStatusKb("VmHWM");
     snap.lastRssKb = rssLastKb_.load(std::memory_order_relaxed);
@@ -523,7 +522,7 @@ resetForTest()
     }
     {
         std::lock_guard<std::mutex> lk(poolsMu_);
-        retiredPools_.clear();
+        pools_.clear();
     }
     {
         std::lock_guard<std::mutex> lk(arenasMu_);
@@ -544,8 +543,7 @@ void counterAdd(const char *, std::uint64_t) {}
 void counterMax(const char *, std::uint64_t) {}
 bool rssEpochTick() { return false; }
 void noteArenaFootprint(std::uint32_t, std::uint64_t) {}
-void registerPool(const void *, PoolTelemetry (*)(const void *)) {}
-void unregisterPool(const void *, const PoolTelemetry &) {}
+void noteSweepBatch(const std::vector<std::uint64_t> &) {}
 void progressEnable(double) {}
 bool progressEnabled() { return false; }
 void progressSetGoal(std::uint64_t) {}

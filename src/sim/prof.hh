@@ -250,32 +250,29 @@ void noteArenaFootprint(std::uint32_t arena, std::uint64_t bytes);
 
 // ------------------------------------------------ worker-pool telemetry
 
-/** One pool's accumulated utilization telemetry. */
+/** Utilization of the `--jobs` sweep batches run on one worker count. */
 struct PoolTelemetry
 {
-    /** Roles, including the dispatching caller. */
+    /** Workers per batch, including the calling thread. */
     unsigned threads = 0;
-    /** dispatch() barriers executed (sweep batches). */
+    /** Sweep batches folded in. */
     std::uint64_t dispatches = 0;
-    /** Per-role total busy nanoseconds inside dispatched bodies. */
+    /** Per-worker total busy nanoseconds. */
     std::vector<std::uint64_t> busyNs;
-    /** Sum over dispatches of the slowest role's task-ns (the batch's
+    /** Sum over batches of the slowest worker's ns (the batch's
      *  critical path). */
     std::uint64_t sumMaxTaskNs = 0;
-    /** Sum over dispatches of all roles' task-ns. sumMaxTaskNs *
-     *  threads / sumTaskNs is the load-imbalance ratio across roles
-     *  (1.0 = perfectly balanced batches). */
+    /** Sum over batches of all workers' ns. sumMaxTaskNs * threads /
+     *  sumTaskNs is the load-imbalance ratio across workers (1.0 =
+     *  perfectly balanced batches). */
     std::uint64_t sumTaskNs = 0;
 };
 
 /**
- * Register / unregister a live pool's telemetry snapshot provider.
- * WorkerPool registers itself at construction and, at destruction,
- * unregisters and folds its final snapshot into the retired-pool
- * list so telemetry survives the pool. @p key identifies the pool.
+ * Fold one finished sweep batch into the telemetry of its worker
+ * count: @p busyNs holds each worker's busy time in the batch.
  */
-void registerPool(const void *key, PoolTelemetry (*fn)(const void *));
-void unregisterPool(const void *key, const PoolTelemetry &final_snapshot);
+void noteSweepBatch(const std::vector<std::uint64_t> &busyNs);
 
 // --------------------------------------------------------- progress
 
@@ -336,7 +333,7 @@ struct Snapshot
     std::vector<PhaseNode> phases;
     /** Named counters, sorted by name. */
     std::vector<std::pair<std::string, std::uint64_t>> counters;
-    /** Live + retired worker-pool telemetry with any activity. */
+    /** Sweep-batch telemetry, one entry per worker count. */
     std::vector<PoolTelemetry> pools;
     /** Peak RSS (VmHWM) in kB at harvest; 0 when unavailable. */
     std::uint64_t peakRssKb = 0;

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/generators.hh"
@@ -486,6 +487,29 @@ TEST(SweepRunner, ParseJobs)
         EXPECT_EQ(harness::parseJobs(2, argv2), 2u);
         ::unsetenv("AFFALLOC_JOBS");
     }
+    {
+        char top[] = "--jobs=1024";
+        char *argv[] = {prog, top};
+        EXPECT_EQ(harness::parseJobs(2, argv), 1024u);
+    }
+    // Malformed counts fail instead of becoming some other count.
+    for (const char *bad : {"", "abc", "4x", "-3", "+2", " 4", "1025",
+                            "99999999999999999999"}) {
+        std::string eq = std::string("--jobs=") + bad;
+        char *argv[] = {prog, eq.data()};
+        EXPECT_THROW(harness::parseJobs(2, argv), FatalError) << eq;
+        char flag[] = "--jobs";
+        std::string val = bad;
+        char *argv2[] = {prog, flag, val.data()};
+        EXPECT_THROW(harness::parseJobs(3, argv2), FatalError)
+            << "--jobs '" << bad << "'";
+    }
+    for (const char *bad : {"abc", "4x", "-3", "1025"}) {
+        ::setenv("AFFALLOC_JOBS", bad, 1);
+        char *argv[] = {prog};
+        EXPECT_THROW(harness::parseJobs(1, argv), FatalError) << bad;
+    }
+    ::unsetenv("AFFALLOC_JOBS");
 }
 
 TEST(SweepRunner, ResultsInSweepOrderAtAnyJobCount)
@@ -527,6 +551,57 @@ TEST(SweepRunner, LowestIndexedExceptionWins)
         FAIL() << "expected an exception";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "task two");
+    }
+}
+
+TEST(SweepRunner, NestedSweepsRunEveryTaskOnce)
+{
+    constexpr int outer = 6, inner = 9;
+    std::vector<std::atomic<int>> calls(outer * inner);
+    std::vector<std::function<std::vector<int>()>> points;
+    for (int o = 0; o < outer; ++o) {
+        points.push_back([o, &calls] {
+            std::vector<std::function<int()>> sub;
+            for (int i = 0; i < inner; ++i) {
+                sub.push_back([o, i, &calls] {
+                    calls[o * inner + i].fetch_add(1);
+                    return o * 100 + i;
+                });
+            }
+            return harness::runSweep(4, sub);
+        });
+    }
+    const std::vector<std::vector<int>> results =
+        harness::runSweep(4, points);
+    ASSERT_EQ(results.size(), std::size_t(outer));
+    for (int o = 0; o < outer; ++o) {
+        ASSERT_EQ(results[o].size(), std::size_t(inner));
+        for (int i = 0; i < inner; ++i)
+            EXPECT_EQ(results[o][i], o * 100 + i);
+    }
+    for (const std::atomic<int> &c : calls)
+        EXPECT_EQ(c.load(), 1);
+
+    // An inner failure surfaces from the lowest failing outer index.
+    std::vector<std::function<void()>> tasks;
+    for (int o = 0; o < outer; ++o) {
+        tasks.push_back([o] {
+            std::vector<std::function<void()>> sub;
+            for (int i = 0; i < inner; ++i) {
+                sub.push_back([o, i] {
+                    if ((o == 1 || o == 4) && i == 7)
+                        throw std::runtime_error("outer " +
+                                                 std::to_string(o));
+                });
+            }
+            harness::runSweepTasks(4, std::move(sub));
+        });
+    }
+    try {
+        harness::runSweepTasks(4, std::move(tasks));
+        FAIL() << "expected an exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "outer 1");
     }
 }
 

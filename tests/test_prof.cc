@@ -21,7 +21,6 @@
 #include "harness/sweep.hh"
 #include "sim/prof.hh"
 #include "sim/simcheck.hh"
-#include "sim/worker_pool.hh"
 #include "workloads/graph_workloads.hh"
 
 #include "test_helpers.hh"
@@ -256,37 +255,47 @@ TEST_F(ProfTelemetry, CountersAddAndMax)
     EXPECT_EQ(hwm, 7u);
 }
 
-TEST_F(ProfTelemetry, RetiredPoolTelemetrySurvivesThePool)
+TEST_F(ProfTelemetry, SweepBatchesReportPerWorkerUtilization)
 {
     if (!prof::compiledIn)
         GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
     prof::setEnabled(true);
-    {
-        sim::WorkerPool pool(4);
-        for (int wave = 0; wave < 8; ++wave) {
-            pool.dispatch([](unsigned role) {
+    // Uneven tasks over several batches at 4 jobs.
+    for (int batch = 0; batch < 8; ++batch) {
+        std::vector<std::function<void()>> tasks;
+        for (std::uint64_t t = 0; t < 12; ++t) {
+            tasks.push_back([t] {
                 volatile std::uint64_t sink = 0;
-                for (std::uint64_t i = 0; i < 20000 * (role + 1); ++i)
+                for (std::uint64_t i = 0; i < 20000 * (t % 4 + 1); ++i)
                     sink = sink + i;
             });
         }
+        harness::runSweepTasks(4, std::move(tasks));
     }
+    // A batch narrower than --jobs reports its real worker count.
+    harness::runSweepTasks(4, {[] {}, [] {}});
+
     const prof::Snapshot snap = prof::harvest();
-    bool found = false;
+    const prof::PoolTelemetry *four = nullptr, *two = nullptr;
     for (const prof::PoolTelemetry &p : snap.pools) {
-        if (p.threads != 4)
-            continue;
-        found = true;
-        EXPECT_GT(p.dispatches, 0u);
-        EXPECT_EQ(p.busyNs.size(), 4u);
-        for (const std::uint64_t b : p.busyNs)
-            EXPECT_GT(b, 0u);
-        // Critical path can never exceed total work, and total work
-        // can never exceed threads * critical path.
-        EXPECT_LE(p.sumMaxTaskNs, p.sumTaskNs);
-        EXPECT_LE(p.sumTaskNs, p.sumMaxTaskNs * p.threads);
+        if (p.threads == 4)
+            four = &p;
+        if (p.threads == 2)
+            two = &p;
     }
-    EXPECT_TRUE(found) << "no retired 4-thread pool telemetry";
+    ASSERT_NE(four, nullptr) << "no 4-worker sweep telemetry";
+    EXPECT_EQ(four->dispatches, 8u);
+    ASSERT_EQ(four->busyNs.size(), 4u);
+    for (const std::uint64_t b : four->busyNs)
+        EXPECT_GT(b, 0u);
+    // Critical path can never exceed total work, and total work
+    // can never exceed threads * critical path.
+    EXPECT_LE(four->sumMaxTaskNs, four->sumTaskNs);
+    EXPECT_LE(four->sumTaskNs, four->sumMaxTaskNs * four->threads);
+
+    ASSERT_NE(two, nullptr) << "no 2-worker sweep telemetry";
+    EXPECT_EQ(two->dispatches, 1u);
+    EXPECT_EQ(two->busyNs.size(), 2u);
 }
 
 TEST_F(ProfTelemetry, ArenaFootprintsKeepTheHighWatermark)
