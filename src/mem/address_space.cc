@@ -104,8 +104,7 @@ AddressSpace::rangeContainingMiss(std::uintptr_t p) const
     const HostRange &r = it->second;
     if (p < r.hostStart || p >= r.hostEnd)
         return nullptr;
-    if (!referenceMode_)
-        cache_[slotOf(p)] = &r;
+    cache_[slotOf(p)] = &r;
     return &r;
 }
 

@@ -48,6 +48,9 @@ struct HostRange
  * unregisterRange() clears exactly the slots of the removed range's
  * lines that still point at it; a range spanning at least cacheSlots
  * lines clears the whole table instead.
+ * AddressSpaceCache.DifferentialAgainstReference holds every lookup to
+ * a plain model of the live ranges under seeded register/unregister
+ * traffic.
  *
  * A sorted flat array in place of the map would not help: Near-L3
  * nodes register one at a time in heap free-list order, which is
@@ -98,11 +101,9 @@ class AddressSpace
     rangeContaining(const void *host_ptr) const
     {
         const auto p = reinterpret_cast<std::uintptr_t>(host_ptr);
-        if (!referenceMode_) {
-            const HostRange *r = cache_[slotOf(p)];
-            if (r && p >= r->hostStart && p < r->hostEnd)
-                return r;
-        }
+        const HostRange *r = cache_[slotOf(p)];
+        if (r && p >= r->hostStart && p < r->hostEnd)
+            return r;
         return rangeContainingMiss(p);
     }
 
@@ -118,13 +119,6 @@ class AddressSpace
      * the arena is handed to the next request.
      */
     std::size_t numRangesInSimWindow(Addr sim_lo, Addr sim_hi) const;
-
-    /**
-     * Resolve every lookup through the sorted map, bypassing the range
-     * cache (reference mode). The digest-equivalence regression test
-     * runs both ways and asserts identical results.
-     */
-    void setReferenceMode(bool reference) { referenceMode_ = reference; }
 
     /**
      * Cache slot that lookups of @p host_ptr use. Exposed so tests can
@@ -177,7 +171,6 @@ class AddressSpace
     // until unregisterRange() clears it together with its node. The
     // const lookups fill slots through the owning pointer.
     std::unique_ptr<const HostRange *[], Unmap> cache_;
-    bool referenceMode_ = false;
 };
 
 } // namespace affalloc::mem

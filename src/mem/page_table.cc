@@ -42,10 +42,8 @@ PageTable::translateMiss(Addr vaddr) const
     if (it == table_.end())
         SIM_FATAL("mem", "access to unmapped virtual address %#lx",
               (unsigned long)vaddr);
-    if (!referenceMode_) {
-        tlbVpage_[slot] = vpage;
-        tlbPpage_[slot] = it->second;
-    }
+    tlbVpage_[slot] = vpage;
+    tlbPpage_[slot] = it->second;
     return pageBase(it->second) + pageOffset(vaddr);
 }
 
@@ -54,15 +52,13 @@ PageTable::tryTranslate(Addr vaddr) const
 {
     const Addr vpage = pageOf(vaddr);
     const std::uint32_t slot = slotOf(vpage);
-    if (!referenceMode_ && tlbVpage_[slot] == vpage)
+    if (tlbVpage_[slot] == vpage)
         return pageBase(tlbPpage_[slot]) + pageOffset(vaddr);
     auto it = table_.find(vpage);
     if (it == table_.end())
         return std::nullopt;
-    if (!referenceMode_) {
-        tlbVpage_[slot] = vpage;
-        tlbPpage_[slot] = it->second;
-    }
+    tlbVpage_[slot] = vpage;
+    tlbPpage_[slot] = it->second;
     return pageBase(it->second) + pageOffset(vaddr);
 }
 

@@ -14,22 +14,20 @@ Network::Network(const sim::MachineConfig &cfg, sim::Stats &stats)
       lifetimeLinkFlits_(mesh_.numLinks() + 2 * mesh_.numTiles(), 0)
 {
     const std::uint32_t nt = mesh_.numTiles();
-    if (nt <= routeTableMaxTiles) {
-        routeOffset_.resize(std::size_t(nt) * nt + 1);
-        std::uint64_t total_links = 0;
-        for (TileId src = 0; src < nt; ++src)
-            for (TileId dst = 0; dst < nt; ++dst)
-                total_links += mesh_.distance(src, dst);
-        routeLinks_.reserve(total_links);
-        for (TileId src = 0; src < nt; ++src) {
-            for (TileId dst = 0; dst < nt; ++dst) {
-                routeOffset_[std::size_t(src) * nt + dst] =
-                    static_cast<std::uint32_t>(routeLinks_.size());
-                mesh_.route(src, dst, routeLinks_);
-            }
+    routeOffset_.resize(std::size_t(nt) * nt + 1);
+    std::uint64_t total_links = 0;
+    for (TileId src = 0; src < nt; ++src)
+        for (TileId dst = 0; dst < nt; ++dst)
+            total_links += mesh_.distance(src, dst);
+    routeLinks_.reserve(total_links);
+    for (TileId src = 0; src < nt; ++src) {
+        for (TileId dst = 0; dst < nt; ++dst) {
+            routeOffset_[std::size_t(src) * nt + dst] =
+                static_cast<std::uint32_t>(routeLinks_.size());
+            mesh_.route(src, dst, routeLinks_);
         }
-        routeOffset_.back() = static_cast<std::uint32_t>(routeLinks_.size());
     }
+    routeOffset_.back() = static_cast<std::uint32_t>(routeLinks_.size());
 }
 
 std::uint32_t
@@ -93,33 +91,10 @@ Network::chargeLink(LinkId link, std::uint32_t flits)
 void
 Network::chargeRoute(TileId src, TileId dst, std::uint32_t flits)
 {
-    if (referenceMode_ || routeOffset_.empty()) {
-        chargeRouteWalk(src, dst, flits);
-        return;
-    }
     const std::size_t pair = std::size_t(src) * mesh_.numTiles() + dst;
     const std::uint32_t end = routeOffset_[pair + 1];
     for (std::uint32_t i = routeOffset_[pair]; i < end; ++i)
         chargeLink(routeLinks_[i], flits);
-}
-
-void
-Network::chargeRouteWalk(TileId src, TileId dst, std::uint32_t flits)
-{
-    std::uint32_t x = mesh_.xOf(src);
-    std::uint32_t y = mesh_.yOf(src);
-    const std::uint32_t tx = mesh_.xOf(dst);
-    const std::uint32_t ty = mesh_.yOf(dst);
-    while (x != tx) {
-        const Direction dir = x < tx ? Direction::east : Direction::west;
-        chargeLink(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits);
-        x = x < tx ? x + 1 : x - 1;
-    }
-    while (y != ty) {
-        const Direction dir = y < ty ? Direction::south : Direction::north;
-        chargeLink(Mesh::linkOf(mesh_.tileAt(x, y), dir), flits);
-        y = y < ty ? y + 1 : y - 1;
-    }
 }
 
 std::uint64_t

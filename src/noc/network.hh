@@ -23,7 +23,10 @@ namespace affalloc::noc
 
 /**
  * The interconnect model. Owns per-link epoch occupancy counters and
- * writes traffic statistics into a shared Stats block.
+ * writes traffic statistics into a shared Stats block. Every message
+ * is charged from a route table precomputed from Mesh::route();
+ * Network.RouteTableMatchesMeshRouteOnEveryPair holds the two equal
+ * on every tile pair of meshes up to the maxMeshTiles limit.
  */
 class Network
 {
@@ -92,22 +95,9 @@ class Network
      */
     void corruptLinkFlitsForTest(std::uint32_t index, std::int64_t delta);
 
-    /**
-     * Charge routes by walking the X-Y coordinates each time instead
-     * of the precomputed route table (reference mode). The
-     * digest-equivalence regression test runs both ways and asserts
-     * identical results.
-     */
-    void setReferenceMode(bool reference) { referenceMode_ = reference; }
-
   private:
-    /** Largest mesh for which the route table is precomputed. */
-    static constexpr std::uint32_t routeTableMaxTiles = 256;
-
-    /** Walk the X-Y route charging @p flits to every link. */
+    /** Charge @p flits to every link of the (src, dst) route. */
     void chargeRoute(TileId src, TileId dst, std::uint32_t flits);
-    /** Coordinate-walking chargeRoute (reference / large-mesh path). */
-    void chargeRouteWalk(TileId src, TileId dst, std::uint32_t flits);
     /** Charge one link, applying any degraded-link multiplier. */
     void chargeLink(LinkId link, std::uint32_t flits);
 
@@ -153,12 +143,11 @@ class Network
      * of the (src, dst) route are
      * routeLinks_[routeOffset_[src*numTiles+dst] ..
      *             routeOffset_[src*numTiles+dst + 1]).
-     * Empty (fall back to the coordinate walk) beyond
-     * routeTableMaxTiles tiles.
+     * Meshes are capped at maxMeshTiles, so the table is at most
+     * 256^2 routes (~3 MB at 16x16).
      */
     std::vector<std::uint32_t> routeOffset_;
     std::vector<LinkId> routeLinks_;
-    bool referenceMode_ = false;
 };
 
 } // namespace affalloc::noc

@@ -10,14 +10,15 @@ Mesh::Mesh(std::uint32_t x_dim, std::uint32_t y_dim)
 {
     if (x_dim == 0 || y_dim == 0)
         SIM_FATAL("noc", "mesh dimensions must be nonzero (%ux%u)", x_dim, y_dim);
+    if (std::uint64_t(x_dim) * y_dim > maxMeshTiles)
+        SIM_FATAL("noc", "mesh %ux%u exceeds the %u-tile limit", x_dim, y_dim,
+              maxMeshTiles);
     const std::uint32_t nt = numTiles();
-    if (nt <= distTableMaxTiles) {
-        dist_.resize(std::size_t(nt) * nt);
-        for (TileId a = 0; a < nt; ++a)
-            for (TileId b = 0; b < nt; ++b)
-                dist_[std::size_t(a) * nt + b] =
-                    static_cast<std::uint16_t>(computeDistance(a, b));
-    }
+    dist_.resize(std::size_t(nt) * nt);
+    for (TileId a = 0; a < nt; ++a)
+        for (TileId b = 0; b < nt; ++b)
+            dist_[std::size_t(a) * nt + b] =
+                static_cast<std::uint16_t>(computeDistance(a, b));
 }
 
 void

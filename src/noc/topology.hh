@@ -26,12 +26,14 @@ using LinkId = std::uint32_t;
 /**
  * A 2D mesh of tiles. Tiles are numbered row-major: tile = y*X + x.
  * L3 banks map 1:1 onto tiles in this machine, so BankId and TileId
- * are interchangeable through this class.
+ * are interchangeable through this class. Meshes hold at most
+ * maxMeshTiles tiles, so the all-pairs distance table (and the
+ * network's route table) always fits.
  */
 class Mesh
 {
   public:
-    /** Construct an X-by-Y mesh. */
+    /** Construct an X-by-Y mesh; fatal() above maxMeshTiles tiles. */
     Mesh(std::uint32_t x_dim, std::uint32_t y_dim);
 
     /** Mesh width. */
@@ -58,10 +60,7 @@ class Mesh
     std::uint32_t
     distance(TileId a, TileId b) const
     {
-        const std::uint32_t nt = xDim_ * yDim_;
-        if (a < nt && b < nt && !dist_.empty())
-            return dist_[std::size_t(a) * nt + b];
-        return computeDistance(a, b);
+        return dist_[std::size_t(a) * numTiles() + b];
     }
 
     /**
@@ -87,9 +86,7 @@ class Mesh
     double averageDistanceFrom(TileId tile) const;
 
   private:
-    /** Largest mesh for which the distance table is precomputed. */
-    static constexpr std::uint32_t distTableMaxTiles = 1024;
-
+    /** Manhattan distance from coordinates (fills dist_). */
     std::uint32_t
     computeDistance(TileId a, TileId b) const
     {
@@ -104,8 +101,7 @@ class Mesh
      * Precomputed all-pairs hop distances (numTiles x numTiles,
      * row-major by source). distance() is on the hot path of both the
      * allocator's bank scoring and the network model, so the ctor
-     * tabulates it for any realistically sized mesh; empty (fall back
-     * to computeDistance) beyond distTableMaxTiles tiles.
+     * tabulates it.
      */
     std::vector<std::uint16_t> dist_;
 };

@@ -64,6 +64,9 @@ MachineConfig::validate() const
 {
     if (meshX == 0 || meshY == 0)
         SIM_FATAL("config", "mesh dimensions must be nonzero (%ux%u)", meshX, meshY);
+    if (std::uint64_t(meshX) * meshY > maxMeshTiles)
+        SIM_FATAL("config", "mesh %ux%u exceeds the %u-tile limit", meshX, meshY,
+              maxMeshTiles);
     if (clockGhz <= 0.0)
         SIM_FATAL("config", "clock frequency must be positive (%g GHz)", clockGhz);
     if (!isPow2(lineSize))

@@ -103,7 +103,7 @@ struct MachineConfig
     // ------------------------------------------------------------ system
     /** Core/uncore clock in GHz (Table 2: 2.0 GHz). */
     double clockGhz = 2.0;
-    /** Mesh width (Table 2: 8x8 cores). */
+    /** Mesh width (Table 2: 8x8 cores); meshX * meshY <= maxMeshTiles. */
     std::uint32_t meshX = 8;
     /** Mesh height. */
     std::uint32_t meshY = 8;
@@ -196,17 +196,6 @@ struct MachineConfig
      * ladder (pool -> other interleavings -> plain heap).
      */
     std::uint64_t poolCapacityBytes = 0;
-    /**
-     * Run the memory/NoC lookup structures on their reference (slow)
-     * paths: no software TLB in front of the page table, linear IOT
-     * scans, no host-range cache, coordinate-walked NoC routes.
-     * Simulated behaviour is identical either way — the
-     * digest-equivalence regression test runs both and asserts
-     * identical digests; this flag exists only for that test and for
-     * debugging suspected fast-path divergence.
-     */
-    bool referencePaths = false;
-
     /**
      * Always 1: the simulator runs every epoch on the calling thread,
      * and validate() rejects any other value. The field exists only

@@ -109,25 +109,84 @@ namespace
 {
 
 std::mutex registryMu_;
+// Finished trees of exited threads, merged by phase name. Registered
+// first and never freed, so every harvest walks it with the live
+// states.
+ThreadState &retired_ = *new ThreadState;
 // Never destroyed: a static vector would be torn down at exit and
-// leave the leaked per-thread states unreachable, which LeakSanitizer
-// reports. The heap vector stays reachable through this reference.
-std::vector<ThreadState *> &threads_ = *new std::vector<ThreadState *>;
+// leave the states of still-running threads unreachable, which
+// LeakSanitizer reports. The heap vector stays reachable through this
+// reference.
+std::vector<ThreadState *> &threads_ =
+    *new std::vector<ThreadState *>{&retired_};
+
+/** @p parent's child named @p name, created in @p ts if missing. */
+Node *
+childNamed(ThreadState &ts, Node &parent, const char *name)
+{
+    // Sites pass string literals, so pointer equality catches the
+    // steady state; strcmp handles the same phase named from two
+    // translation units.
+    for (Node *c : parent.children)
+        if (c->name == name || std::strcmp(c->name, name) == 0)
+            return c;
+    ts.nodes.push_back(std::make_unique<Node>());
+    Node *child = ts.nodes.back().get();
+    child->name = name;
+    child->parent = &parent;
+    std::lock_guard<std::mutex> lk(ts.shape);
+    parent.children.push_back(child);
+    return child;
+}
+
+/** Add @p from's counts and subtree into retired_'s node @p into. */
+void
+foldNode(const Node &from, Node &into)
+{
+    into.inclusiveNs += from.inclusiveNs;
+    into.count += from.count;
+    into.timedCount += from.timedCount;
+    for (const Node *c : from.children)
+        foldNode(*c, *childNamed(retired_, into, c->name));
+}
+
+/** The calling thread's state (trivially destructible, so code that
+ *  runs at thread exit can still read it). */
+thread_local ThreadState *tlsState = nullptr;
+
+/**
+ * Destroyed at thread exit: folds the thread's tree into retired_ and
+ * frees its state, so short-lived threads (tenant and sweep threads)
+ * do not grow the registry or the harvest walk.
+ */
+struct ThreadOwner
+{
+    ~ThreadOwner()
+    {
+        std::lock_guard<std::mutex> lk(registryMu_);
+        foldNode(tlsState->root, retired_.root);
+        threads_.erase(std::find(threads_.begin(), threads_.end(), tlsState));
+        delete tlsState;
+        tlsState = nullptr;
+    }
+};
 
 ThreadState &
 threadState()
 {
-    // Leaked on purpose: worker threads outlive neither the process
-    // nor the final harvest, and their trees must stay readable after
-    // the thread exits (ad-hoc sweep threads die mid-run). Ownership
-    // sits in the registry, which is never torn down.
-    static thread_local ThreadState *state = [] {
-        auto *s = new ThreadState();
-        std::lock_guard<std::mutex> lk(registryMu_);
-        threads_.push_back(s);
-        return s;
-    }();
-    return *state;
+    if (!tlsState) {
+        tlsState = new ThreadState();
+        {
+            std::lock_guard<std::mutex> lk(registryMu_);
+            threads_.push_back(tlsState);
+        }
+        // Constructed once per thread. A scope entered after it ran
+        // (from a later exit-time destructor) gets a fresh state that
+        // stays registered until process exit.
+        static thread_local ThreadOwner owner;
+        (void)owner;
+    }
+    return *tlsState;
 }
 
 } // namespace
@@ -136,27 +195,8 @@ Node *
 scopeEnter(const char *name)
 {
     ThreadState &ts = threadState();
-    Node *cur = ts.current;
-    // Sites pass string literals, so pointer equality catches the
-    // steady state; strcmp handles the same phase named from two
-    // translation units.
-    for (Node *c : cur->children) {
-        if (c->name == name || std::strcmp(c->name, name) == 0) {
-            ts.current = c;
-            return c;
-        }
-    }
-    auto owned = std::make_unique<Node>();
-    Node *child = owned.get();
-    child->name = name;
-    child->parent = cur;
-    ts.nodes.push_back(std::move(owned));
-    {
-        std::lock_guard<std::mutex> lk(ts.shape);
-        cur->children.push_back(child);
-    }
-    ts.current = child;
-    return child;
+    ts.current = childNamed(ts, *ts.current, name);
+    return ts.current;
 }
 
 void
@@ -201,6 +241,7 @@ namespace
 
 using detail::registryMu_;
 using detail::threads_;
+
 
 std::uint64_t enabledAtNs_ = 0;
 
@@ -535,6 +576,13 @@ resetForTest()
         enabledAtNs_ = steadyNs();
 }
 
+std::size_t
+registeredThreadStatesForTest()
+{
+    std::lock_guard<std::mutex> lk(registryMu_);
+    return threads_.size();
+}
+
 #else // AFFALLOC_PROF_DISABLED
 
 void setEnabled(bool) {}
@@ -552,6 +600,7 @@ void progressAdvance(std::uint64_t) {}
 void progressTick(std::uint64_t, std::uint64_t) {}
 Snapshot harvest() { return Snapshot{}; }
 void resetForTest() {}
+std::size_t registeredThreadStatesForTest() { return 0; }
 
 #endif // AFFALLOC_PROF_DISABLED
 

@@ -17,8 +17,9 @@
  *   - `PROF_SCOPE("alloc/malloc_aff");` opens an RAII phase scope on
  *     the calling thread. Scopes nest: the harvested tree mirrors the
  *     runtime nesting, with inclusive/exclusive nanoseconds and entry
- *     counts per node. Each thread accumulates into its own tree;
- *     harvest() merges all threads by phase name.
+ *     counts per node. Each thread accumulates into its own tree,
+ *     folded into one retired tree when the thread exits; harvest()
+ *     merges the live trees and the retired one by phase name.
  *   - `prof::addTimed(name, ns)` records a phase retroactively (the
  *     epoch record phase is timed this way: a scope cannot straddle
  *     beginEpoch()/endEpoch()).
@@ -365,6 +366,12 @@ bool writeJson(std::FILE *out, const Snapshot &snap);
  * not touch the enabled flags or any open output file.
  */
 void resetForTest();
+
+/**
+ * Trees in the profiler registry (tests): one per live thread that
+ * entered a scope, plus the retired tree that exited threads fold into.
+ */
+std::size_t registeredThreadStatesForTest();
 
 } // namespace affalloc::prof
 

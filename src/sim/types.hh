@@ -24,6 +24,13 @@ using BankId = std::uint32_t;
 /** Identifier of a mesh tile (core + private caches + L3 slice). */
 using TileId = std::uint32_t;
 
+/**
+ * Largest mesh the simulator builds: 16x16 tiles, 4x the paper's 8x8
+ * machine (Table 2). The NoC's all-pairs distance and route tables are
+ * sized for it, and MachineConfig::validate() rejects anything larger.
+ */
+inline constexpr std::uint32_t maxMeshTiles = 256;
+
 /** Identifier of a core; cores and tiles are 1:1 in this machine. */
 using CoreId = std::uint32_t;
 

@@ -314,12 +314,16 @@ TEST(ChaosBundle, RejectsMalformedInput)
     EXPECT_THROW(chaos::parseBundle(json), FatalError);
 }
 
+/**
+ * Bundles the planted campaign cut to its spare-of-spare kill pair,
+ * the schedule the shrinker reduces it to; running the shrinker here
+ * too would only repeat ChaosPlanted.ShrinksToTheKillCluster.
+ */
 TEST(ChaosBundle, ReplayReproducesTheShrunkFailure)
 {
-    const chaos::Campaign planted = chaos::plantedSpareKeyingCampaign();
-    const chaos::Verdict v = chaos::runOracle(planted.opts);
-    ASSERT_TRUE(v.failed);
-    const chaos::Campaign small = chaos::shrinkCampaign(planted, v);
+    chaos::Campaign small = chaos::plantedSpareKeyingCampaign();
+    small.opts.faultSchedule =
+        sim::parseFaultSchedule("bank:27@250000,bank:0@270000");
     const chaos::Verdict sv = chaos::runOracle(small.opts);
     ASSERT_TRUE(sv.failed);
 

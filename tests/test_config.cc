@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sim/config.hh"
 #include "sim/log.hh"
 
@@ -42,6 +44,23 @@ TEST(Config, ValidateRejectsZeroMesh)
     MachineConfig cfg;
     cfg.meshX = 0;
     EXPECT_THROW(cfg.validate(), FatalError);
+}
+
+TEST(Config, ValidateRejectsMeshesAbove256Tiles)
+{
+    for (const auto &[x, y] : {std::pair{16u, 16u}, std::pair{256u, 1u}}) {
+        MachineConfig cfg;
+        cfg.meshX = x;
+        cfg.meshY = y;
+        EXPECT_NO_THROW(cfg.validate()) << x << "x" << y;
+    }
+    for (const auto &[x, y] : {std::pair{17u, 16u}, std::pair{32u, 32u},
+                               std::pair{65536u, 65536u}}) {
+        MachineConfig cfg;
+        cfg.meshX = x;
+        cfg.meshY = y;
+        EXPECT_THROW(cfg.validate(), FatalError) << x << "x" << y;
+    }
 }
 
 TEST(Config, ValidateRejectsTooManyChannels)

@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the host-side performance fast paths: the software TLB in
- * front of the page table, the sorted/MRU Interleave Override Table,
- * the AddressSpace range cache, the parallel sweep runner, and the
- * digest-equivalence guarantee that every fast path produces results
- * bit-identical to the reference (slow) paths.
+ * front of the page table, the sorted/MRU Interleave Override Table
+ * and the AddressSpace range cache, each held to a plain model of the
+ * structure it fronts (the fast-path oracles), plus the parallel
+ * sweep runner.
  */
 
 #include <gtest/gtest.h>
@@ -12,24 +12,25 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "graph/generators.hh"
 #include "harness/sweep.hh"
+#include "mem/address.hh"
 #include "mem/address_space.hh"
 #include "mem/iot.hh"
 #include "mem/page_table.hh"
 #include "sim/log.hh"
 #include "sim/rng.hh"
-#include "workloads/affine_workloads.hh"
-#include "workloads/graph_workloads.hh"
-#include "workloads/pointer_workloads.hh"
 
 using namespace affalloc;
-using namespace affalloc::workloads;
 
 // ------------------------------------------------------------------
 // Software TLB (mem::PageTable)
@@ -99,13 +100,96 @@ TEST(SoftTlb, FlushDropsEverything)
         EXPECT_FALSE(pt.tlbPeek(v).has_value());
 }
 
-TEST(SoftTlb, ReferenceModeBypassesCache)
+/**
+ * Seeded map/unmap/remap/flush/translate traffic against a plain
+ * unordered_map model, over vpages that share a handful of TLB slots
+ * (same vpage & 1023), so fills evict each other and a stale entry
+ * left by unmap, remap or a conflicting fill would show.
+ */
+TEST(SoftTlb, DifferentialAgainstMapModel)
 {
     mem::PageTable pt;
-    pt.setReferenceMode(true);
-    pt.map(4, 11);
-    EXPECT_EQ(pt.translate(mem::pageBase(4) + 1), mem::pageBase(11) + 1);
-    EXPECT_FALSE(pt.tlbPeek(4).has_value());
+    std::unordered_map<Addr, Addr> model;
+    Rng rng(0x5077715b);
+    constexpr Addr slots = 6, aliases = 8;
+    auto pickVpage = [&] {
+        return 7 + rng.below(slots) +
+               rng.below(aliases) * mem::PageTable::tlbEntries;
+    };
+    Addr nextPpage = 1;
+
+    std::size_t hits = 0, misses = 0, remaps = 0, flushes = 0;
+    for (int op = 0; op < 20'000; ++op) {
+        const Addr v = pickVpage();
+        const auto it = model.find(v);
+        const std::uint64_t kind = rng.below(16);
+        if (kind < 3) {
+            if (it != model.end()) {
+                EXPECT_THROW(pt.map(v, nextPpage), FatalError);
+                continue;
+            }
+            pt.map(v, nextPpage);
+            model.emplace(v, nextPpage++);
+        } else if (kind < 5) {
+            if (it == model.end()) {
+                EXPECT_THROW(pt.unmap(v), FatalError);
+                continue;
+            }
+            pt.unmap(v);
+            model.erase(it);
+        } else if (kind < 6) {
+            if (it == model.end())
+                continue;
+            // Remap to a new frame; the old translation must not
+            // survive in the slot.
+            pt.unmap(v);
+            pt.map(v, nextPpage);
+            it->second = nextPpage++;
+            ++remaps;
+        } else if (kind < 7) {
+            pt.flushTlb();
+            ++flushes;
+        } else {
+            const Addr vaddr = mem::pageBase(v) + rng.below(mem::pageSize);
+            const bool cached = pt.tlbPeek(v).has_value();
+            std::optional<Addr> got;
+            if (kind < 12)
+                got = pt.tryTranslate(vaddr);
+            else if (it != model.end())
+                got = pt.translate(vaddr);
+            if (it == model.end()) {
+                EXPECT_FALSE(got.has_value()) << "vpage " << v;
+                EXPECT_THROW(pt.translate(vaddr), FatalError);
+                EXPECT_FALSE(pt.tlbPeek(v).has_value());
+            } else {
+                ASSERT_TRUE(got.has_value()) << "vpage " << v;
+                EXPECT_EQ(*got, mem::pageBase(it->second) +
+                                    mem::pageOffset(vaddr));
+                // A successful translation leaves its page in the slot.
+                EXPECT_EQ(pt.tlbPeek(v), std::optional<Addr>(it->second));
+                (cached ? hits : misses) += 1;
+            }
+        }
+        // Whatever the slot caches is the model's current mapping.
+        for (Addr s = 0; s < slots; ++s) {
+            for (Addr a = 0; a < aliases; ++a) {
+                const Addr w = 7 + s + a * mem::PageTable::tlbEntries;
+                const std::optional<Addr> peek = pt.tlbPeek(w);
+                const auto m = model.find(w);
+                if (peek) {
+                    ASSERT_TRUE(m != model.end() && *peek == m->second)
+                        << "stale slot for vpage " << w;
+                }
+                ASSERT_EQ(pt.isMapped(w), m != model.end());
+            }
+        }
+        ASSERT_EQ(pt.size(), model.size());
+    }
+    // The traffic really hit every case above.
+    EXPECT_GT(hits, 300u);
+    EXPECT_GT(misses, 1000u);
+    EXPECT_GT(remaps, 100u);
+    EXPECT_GT(flushes, 100u);
 }
 
 // ------------------------------------------------------------------
@@ -161,24 +245,113 @@ TEST(IotFastPath, GrowChecksNextNeighbour)
     EXPECT_EQ(iot.lookup(0x3fff)->start, 0x0000u);
 }
 
-TEST(IotFastPath, ReferenceModeAgrees)
+namespace
 {
-    mem::InterleaveOverrideTable fast(16);
-    mem::InterleaveOverrideTable ref(16);
-    ref.setReferenceMode(true);
-    for (Addr base : {Addr(0x8000), Addr(0x2000), Addr(0x5000)}) {
-        fast.insert(base, base + 0x1000, 64);
-        ref.insert(base, base + 0x1000, 64);
-    }
-    for (Addr a = 0; a < 0xa000; a += 0x380) {
-        const auto *f = fast.lookup(a);
-        const auto *r = ref.lookup(a);
-        ASSERT_EQ(f == nullptr, r == nullptr) << "addr " << a;
-        if (f != nullptr) {
-            EXPECT_EQ(f->start, r->start);
-            EXPECT_EQ(f->bankOf(a, 64), r->bankOf(a, 64));
+
+/** The original IOT lookup: a linear scan over every entry. */
+const mem::IotEntry *
+linearScan(const mem::InterleaveOverrideTable &iot, Addr paddr)
+{
+    for (std::size_t i = 0; i < iot.size(); ++i)
+        if (iot.entry(i).contains(paddr))
+            return &iot.entry(i);
+    return nullptr;
+}
+
+} // namespace
+
+/**
+ * Seeded out-of-order inserts and grows against a linear scan over
+ * entry(i): lookups land on starts, last bytes, exclusive ends, gaps
+ * and alternate between two pools so the MRU slot keeps flipping.
+ */
+TEST(IotFastPath, DifferentialAgainstLinearScan)
+{
+    constexpr std::uint32_t capacity = 16;
+    constexpr Addr region = 0x100000;
+    Rng rng(0x1075ca4);
+    std::size_t lookups = 0, flips = 0, grows = 0, refusedGrows = 0,
+                refusedInserts = 0;
+    for (int table = 0; table < 40; ++table) {
+        mem::InterleaveOverrideTable iot(capacity);
+        // One region per entry, visited in a random order, so inserts
+        // arrive out of start order.
+        std::vector<Addr> order;
+        for (Addr r = 0; r < capacity; ++r)
+            order.push_back(r);
+        for (std::size_t i = order.size(); i > 1; --i)
+            std::swap(order[i - 1], order[rng.below(i)]);
+
+        auto probe = [&](Addr a) {
+            ASSERT_EQ(iot.lookup(a), linearScan(iot, a)) << "paddr " << a;
+            ++lookups;
+        };
+        auto probeAround = [&](const mem::IotEntry &e) {
+            probe(e.start);
+            probe(e.end - 1);
+            probe(e.end);
+            probe(e.start + rng.below(e.end - e.start));
+            if (e.start > 0)
+                probe(e.start - 1);
+        };
+        for (Addr r : order) {
+            const Addr start = r * region + rng.below(region / 4) * 64;
+            const Addr end = start + (1 + rng.below(region / 256)) * 64;
+            const std::uint32_t intrlv = 64u << rng.below(6);
+            // An earlier grow may already reach into this region.
+            bool hit = false;
+            for (std::size_t i = 0; i < iot.size(); ++i)
+                hit |= iot.entry(i).start < end && start < iot.entry(i).end;
+            if (hit) {
+                EXPECT_THROW(iot.insert(start, end, intrlv), FatalError);
+                ++refusedInserts;
+                continue;
+            }
+            iot.insert(start, end, intrlv);
+            // Grow a random entry, sometimes into its next neighbour.
+            const std::size_t g = rng.below(iot.size());
+            const mem::IotEntry before = iot.entry(g);
+            const Addr newEnd =
+                before.end + rng.below(2 * region / 64) * 64;
+            bool overlaps = false;
+            for (std::size_t i = 0; i < iot.size(); ++i)
+                overlaps |= i != g && iot.entry(i).start >= before.end &&
+                            iot.entry(i).start < newEnd;
+            if (overlaps) {
+                EXPECT_THROW(iot.grow(g, newEnd), FatalError);
+                EXPECT_EQ(iot.entry(g).end, before.end);
+                ++refusedGrows;
+            } else {
+                iot.grow(g, newEnd);
+                EXPECT_EQ(iot.entry(g).end, newEnd);
+                ++grows;
+            }
+            for (std::size_t i = 0; i < iot.size(); ++i)
+                probeAround(iot.entry(i));
+            // Alternate two pools: every lookup misses the MRU slot.
+            const std::size_t a = rng.below(iot.size());
+            const std::size_t b = rng.below(iot.size());
+            for (int k = 0; k < 8; ++k) {
+                const mem::IotEntry &e = iot.entry(k % 2 ? b : a);
+                probe(e.start + rng.below(e.end - e.start));
+                flips += a != b;
+            }
+            for (int k = 0; k < 16; ++k)
+                probe(rng.below(capacity * region + region));
+            if (HasFatalFailure())
+                return;
+        }
+        if (iot.size() == capacity) {
+            EXPECT_THROW(iot.insert(8 * capacity * region,
+                                    9 * capacity * region, 64),
+                         FatalError);
         }
     }
+    EXPECT_GT(lookups, 20'000u);
+    EXPECT_GT(flips, 1000u);
+    EXPECT_GT(grows, 100u);
+    EXPECT_GT(refusedGrows, 10u);
+    EXPECT_GT(refusedInserts, 10u);
 }
 
 // ------------------------------------------------------------------
@@ -309,57 +482,42 @@ TEST(AddressSpaceCache, MissesAreNotCached)
     EXPECT_EQ(as.cachePeek(hostAt(a))->hostStart, a);
 }
 
-TEST(AddressSpaceCache, ReferenceModeAgrees)
-{
-    mem::AddressSpace fast, ref;
-    ref.setReferenceMode(true);
-    std::vector<std::vector<char>> bufs;
-    for (int i = 0; i < 6; ++i)
-        bufs.emplace_back(128);
-    for (int i = 0; i < 6; ++i) {
-        fast.registerRange(bufs[i].data(), bufs[i].size(),
-                           Addr(0x100000) * (i + 1));
-        ref.registerRange(bufs[i].data(), bufs[i].size(),
-                          Addr(0x100000) * (i + 1));
-    }
-    for (int round = 0; round < 2; ++round) {
-        for (int i = 5; i >= 0; --i) {
-            EXPECT_EQ(fast.trySimAddrOf(bufs[i].data() + 31),
-                      ref.trySimAddrOf(bufs[i].data() + 31));
-            EXPECT_EQ(ref.cachePeek(bufs[i].data() + 31), nullptr);
-        }
-    }
-    int unrelated = 0;
-    EXPECT_EQ(fast.trySimAddrOf(&unrelated), ref.trySimAddrOf(&unrelated));
-}
-
 /**
- * Seeded random register/unregister/lookup traffic against a
- * reference-mode twin: small, multi-line and larger-than-table ranges
- * in a region dense enough that lines collide in slots, with lookups
- * at starts, interiors, exclusive ends, just-freed ranges and gaps.
+ * Seeded random register/unregister/lookup traffic against a plain
+ * model of the live ranges (start -> end, sim): small, multi-line and
+ * larger-than-table ranges in a region dense enough that lines collide
+ * in slots, with lookups at starts, interiors, exclusive ends,
+ * just-freed ranges and gaps.
  */
 TEST(AddressSpaceCache, DifferentialAgainstReference)
 {
-    mem::AddressSpace fast, ref;
-    ref.setReferenceMode(true);
+    mem::AddressSpace fast;
     Rng rng(0xadd5ace);
     // Twice the table's span, so distinct lines share slots.
     const std::uintptr_t span =
         2 * mem::AddressSpace::cacheSlots * lineBytes;
-    std::map<std::uintptr_t, std::uintptr_t> live; // start -> end
+    struct Live
+    {
+        std::uintptr_t end;
+        Addr sim;
+    };
+    std::map<std::uintptr_t, Live> live; // keyed by start
     std::vector<std::pair<std::uintptr_t, std::uintptr_t>> freed;
     Addr nextSim = 0x1000;
 
     auto expectSame = [&](std::uintptr_t p) {
         const mem::HostRange *f = fast.rangeContaining(hostAt(p));
-        const mem::HostRange *r = ref.rangeContaining(hostAt(p));
-        ASSERT_EQ(f == nullptr, r == nullptr) << "ptr " << p;
+        auto it = live.upper_bound(p);
+        const bool inside =
+            it != live.begin() && p < std::prev(it)->second.end;
+        ASSERT_EQ(f != nullptr, inside) << "ptr " << p;
         if (f) {
-            EXPECT_EQ(f->hostStart, r->hostStart);
-            EXPECT_EQ(f->hostEnd, r->hostEnd);
-            EXPECT_EQ(f->simStart, r->simStart);
-            EXPECT_EQ(fast.simAddrOf(hostAt(p)), ref.simAddrOf(hostAt(p)));
+            const auto &[start, r] = *std::prev(it);
+            EXPECT_EQ(f->hostStart, start);
+            EXPECT_EQ(f->hostEnd, r.end);
+            EXPECT_EQ(f->simStart, r.sim);
+            EXPECT_EQ(fast.simAddrOf(hostAt(p)), r.sim + (p - start));
+            EXPECT_EQ(fast.trySimAddrOf(hostAt(p)), r.sim + (p - start));
         } else {
             EXPECT_THROW(fast.simAddrOf(hostAt(p)), FatalError);
             EXPECT_EQ(fast.trySimAddrOf(hostAt(p)), invalidAddr);
@@ -369,7 +527,7 @@ TEST(AddressSpaceCache, DifferentialAgainstReference)
         auto it = live.lower_bound(s);
         if (it != live.end() && it->first < e)
             return true;
-        return it != live.begin() && std::prev(it)->second > s;
+        return it != live.begin() && std::prev(it)->second.end > s;
     };
 
     std::size_t registered = 0, unregistered = 0, bigOnes = 0;
@@ -395,9 +553,8 @@ TEST(AddressSpaceCache, DifferentialAgainstReference)
             // Miss, register, hit: a miss must not stick.
             expectSame(start);
             fast.registerRange(hostAt(start), bytes, nextSim);
-            ref.registerRange(hostAt(start), bytes, nextSim);
+            live.emplace(start, Live{end, nextSim});
             nextSim += bytes + 64;
-            live.emplace(start, end);
             expectSame(start);
             expectSame(end - 1);
             ++registered;
@@ -405,12 +562,11 @@ TEST(AddressSpaceCache, DifferentialAgainstReference)
         } else if (kind < 5) {
             auto it = live.begin();
             std::advance(it, rng.below(live.size()));
-            const auto [start, end] = *it;
+            const std::uintptr_t start = it->first, end = it->second.end;
             const std::uintptr_t inner = start + rng.below(end - start);
             expectSame(inner); // fills the slot
             const mem::HostRange *gone = fast.rangeContaining(hostAt(inner));
             fast.unregisterRange(hostAt(start));
-            ref.unregisterRange(hostAt(start));
             live.erase(it);
             freed.emplace_back(start, end);
             for (std::uintptr_t line = start / lineBytes;
@@ -431,7 +587,7 @@ TEST(AddressSpaceCache, DifferentialAgainstReference)
             } else if (where != 0) {
                 auto it = live.begin();
                 std::advance(it, rng.below(live.size()));
-                const auto [s, e] = *it;
+                const std::uintptr_t s = it->first, e = it->second.end;
                 p = where == 1 ? s + rng.below(e - s)
                                : (where == 2 ? e : e - 1);
             }
@@ -602,96 +758,5 @@ TEST(SweepRunner, NestedSweepsRunEveryTaskOnce)
         FAIL() << "expected an exception";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "outer 1");
-    }
-}
-
-// ------------------------------------------------------------------
-// Digest equivalence: fast paths vs reference (slow) paths
-// ------------------------------------------------------------------
-
-namespace
-{
-
-RunConfig
-withReferencePaths(RunConfig rc)
-{
-    rc.machine.referencePaths = true;
-    return rc;
-}
-
-void
-expectIdentical(const RunResult &fast, const RunResult &ref)
-{
-    EXPECT_EQ(fast.digest(), ref.digest());
-    EXPECT_EQ(fast.cycles(), ref.cycles());
-    EXPECT_EQ(fast.hops(), ref.hops());
-    EXPECT_EQ(fast.placementDigest, ref.placementDigest);
-    EXPECT_EQ(fast.valid, ref.valid);
-}
-
-} // namespace
-
-TEST(DigestEquivalence, VecAddAllModes)
-{
-    VecAddParams p;
-    p.n = 30'000;
-    for (ExecMode m :
-         {ExecMode::inCore, ExecMode::nearL3, ExecMode::affAlloc}) {
-        const RunConfig rc = RunConfig::forMode(m);
-        const RunResult fast = runVecAdd(rc, p);
-        const RunResult ref = runVecAdd(withReferencePaths(rc), p);
-        expectIdentical(fast, ref);
-    }
-}
-
-TEST(DigestEquivalence, GraphWorkloads)
-{
-    graph::KroneckerParams kp;
-    kp.scale = 10;
-    kp.edgeFactor = 8;
-    const auto g = graph::kronecker(kp);
-    GraphParams p;
-    p.graph = &g;
-    p.iters = 2;
-
-    const RunConfig rc = RunConfig::forMode(ExecMode::affAlloc);
-    expectIdentical(runPageRankPush(rc, p),
-                    runPageRankPush(withReferencePaths(rc), p));
-    expectIdentical(runBfs(rc, p, BfsStrategy::gapSwitch).run,
-                    runBfs(withReferencePaths(rc), p,
-                           BfsStrategy::gapSwitch)
-                        .run);
-}
-
-/**
- * The pointer kernels resolve one host pointer per hop, and in
- * Near-L3 mode every node is its own registered range; churn_list
- * also frees and re-allocates nodes between its search epochs, so
- * range-cache invalidation is exercised mid-run.
- */
-TEST(DigestEquivalence, PointerWorkloads)
-{
-    LinkListParams ll;
-    ll.numLists = 48;
-    ll.nodesPerList = 64;
-    HashJoinParams hj;
-    hj.buildRows = 4096;
-    hj.probeRows = 8192;
-    hj.numBuckets = 1024;
-    ChurnListParams cl;
-    cl.numLists = 32;
-    cl.nodesPerList = 48;
-    cl.rounds = 4;
-    BinTreeParams bt;
-    bt.numNodes = 4096;
-    bt.numLookups = 8192;
-    for (ExecMode m : {ExecMode::nearL3, ExecMode::affAlloc}) {
-        SCOPED_TRACE(static_cast<int>(m));
-        const RunConfig rc = RunConfig::forMode(m);
-        const RunConfig ref = withReferencePaths(rc);
-        expectIdentical(runLinkList(rc, ll), runLinkList(ref, ll));
-        expectIdentical(runHashJoin(rc, hj), runHashJoin(ref, hj));
-        expectIdentical(runChurnList(rc, cl), runChurnList(ref, cl));
-        expectIdentical(runBinTree(rc, bt), runBinTree(ref, bt));
     }
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "noc/network.hh"
 
 using namespace affalloc;
@@ -111,4 +114,68 @@ TEST(Network, FlitsForRoundsUp)
     EXPECT_EQ(f.net.flitsFor(32), 1u);
     EXPECT_EQ(f.net.flitsFor(33), 2u);
     EXPECT_EQ(f.net.flitsFor(64), 2u);
+}
+
+/**
+ * Every (src, dst) send charges exactly the links Mesh::route() walks,
+ * on shapes from one tile up to the 256-tile limit; one shape runs with
+ * degraded links, whose multiplier every charge must carry.
+ */
+TEST(Network, RouteTableMatchesMeshRouteOnEveryPair)
+{
+    struct Shape
+    {
+        std::uint32_t x, y;
+        bool degraded;
+    };
+    for (const Shape sh : {Shape{1, 1, false}, Shape{2, 8, false},
+                           Shape{8, 8, false}, Shape{8, 8, true},
+                           Shape{16, 4, false}, Shape{16, 16, false}}) {
+        SCOPED_TRACE(std::to_string(sh.x) + "x" + std::to_string(sh.y) +
+                     (sh.degraded ? " degraded" : ""));
+        MachineConfig cfg;
+        cfg.meshX = sh.x;
+        cfg.meshY = sh.y;
+        Stats stats;
+        Network net(cfg, stats);
+        const noc::Mesh &mesh = net.mesh();
+        sim::FaultPlan plan(sim::FaultConfig{}, sh.x, sh.y);
+        if (sh.degraded) {
+            for (noc::LinkId l : {0u, 4u * 9 + 0, 4u * 27 + 3, 4u * 62 + 2})
+                plan.degradeLink(l, 3 + l % 4);
+            net.setFaultPlan(&plan);
+        }
+        const std::uint32_t bytes = 64;
+        const std::uint32_t flits = net.flitsFor(bytes);
+        std::vector<std::uint64_t> expect(mesh.numLinks(), 0);
+        std::vector<noc::LinkId> route;
+        for (TileId src = 0; src < mesh.numTiles(); ++src) {
+            for (TileId dst = 0; dst < mesh.numTiles(); ++dst) {
+                route.clear();
+                mesh.route(src, dst, route);
+                std::uint64_t routeFlits = 0;
+                for (noc::LinkId l : route) {
+                    const std::uint64_t c =
+                        std::uint64_t(flits) * plan.linkFlitMultiplier(l);
+                    expect[l] += c;
+                    routeFlits += c;
+                }
+                net.resetEpoch();
+                net.send(src, dst, bytes, TrafficClass::data);
+                // This epoch holds the route plus the two endpoint
+                // ports; every route link carries its running total.
+                const std::uint64_t ports = route.empty() ? 0 : 2 * flits;
+                ASSERT_EQ(net.totalLinkFlits(), routeFlits + ports)
+                    << src << " -> " << dst;
+                for (noc::LinkId l : route)
+                    ASSERT_EQ(net.lifetimeLinkFlits()[l], expect[l])
+                        << src << " -> " << dst << " link " << l;
+            }
+        }
+        for (noc::LinkId l = 0; l < mesh.numLinks(); ++l)
+            EXPECT_EQ(net.lifetimeLinkFlits()[l], expect[l]) << "link " << l;
+        const std::uint64_t pairs =
+            std::uint64_t(mesh.numTiles()) * mesh.numTiles();
+        EXPECT_EQ(stats.messages[int(TrafficClass::data)], pairs);
+    }
 }

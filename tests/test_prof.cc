@@ -15,6 +15,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hh"
@@ -157,6 +158,42 @@ TEST_F(ProfPhases, ScopesNestIntoATree)
     EXPECT_EQ(outer->children[0].name, "test/inner");
     EXPECT_EQ(outer->children[0].count, 6u);
     checkTreeInvariants(*outer);
+}
+
+TEST_F(ProfPhases, ShortLivedThreadsAreFoldedOnExit)
+{
+    if (!prof::compiledIn)
+        GTEST_SKIP() << "built with -DAFFALLOC_PROF=OFF";
+    prof::setEnabled(true);
+    {
+        PROF_SCOPE("test/main");
+    }
+    const std::size_t before = prof::registeredThreadStatesForTest();
+    for (int batch = 0; batch < 8; ++batch) {
+        std::vector<std::thread> threads;
+        for (int t = 0; t < 8; ++t) {
+            threads.emplace_back([] {
+                PROF_SCOPE("test/short_lived");
+                PROF_SCOPE("test/short_lived.inner");
+            });
+        }
+        for (std::thread &t : threads)
+            t.join();
+    }
+    // Each exited thread's tree went into the retired one.
+    EXPECT_LE(prof::registeredThreadStatesForTest(), before);
+    const prof::Snapshot snap = prof::harvest();
+    const prof::PhaseNode *n = findPhase(snap.phases, "test/short_lived");
+    ASSERT_NE(n, nullptr);
+    EXPECT_EQ(n->count, 64u);
+    ASSERT_EQ(n->children.size(), 1u);
+    EXPECT_EQ(n->children[0].count, 64u);
+    checkTreeInvariants(*n);
+    // resetForTest clears the retired tree too.
+    prof::resetForTest();
+    const prof::Snapshot after = prof::harvest();
+    const prof::PhaseNode *gone = findPhase(after.phases, "test/short_lived");
+    EXPECT_TRUE(gone == nullptr || gone->count == 0);
 }
 
 TEST_F(ProfPhases, NestedSampledScopesAreEachDecimatedOnTheirOwnCount)

@@ -182,7 +182,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MeshProperty,
                          ::testing::Values(std::pair{8u, 8u},
                                            std::pair{4u, 4u},
                                            std::pair{16u, 4u},
-                                           std::pair{2u, 8u}));
+                                           std::pair{2u, 8u},
+                                           std::pair{16u, 16u}));
 
 // ---------------------------------------------- generator invariants
 

@@ -84,6 +84,16 @@ TEST(Topology, RejectsDegenerateMesh)
     EXPECT_THROW(Mesh(0, 4), FatalError);
 }
 
+TEST(Topology, MeshRejectsMoreThan256Tiles)
+{
+    EXPECT_EQ(Mesh(16, 16).numTiles(), maxMeshTiles);
+    EXPECT_EQ(Mesh(256, 1).numTiles(), maxMeshTiles);
+    EXPECT_THROW(Mesh(17, 16), FatalError);
+    EXPECT_THROW(Mesh(1, 257), FatalError);
+    // The tile count is checked before it can wrap around.
+    EXPECT_THROW(Mesh(65536, 65536), FatalError);
+}
+
 TEST(Topology, RouteRejectsOutOfRange)
 {
     Mesh m(2, 2);
